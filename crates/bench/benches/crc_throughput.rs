@@ -47,7 +47,7 @@ fn bench_frame_sized_batches(c: &mut Criterion) {
     let mut group = c.benchmark_group("crc_frame_batch");
     group.throughput(Throughput::Bytes(total));
     group.sample_size(20);
-    for kind in [EngineKind::Slice8, EngineKind::Slice16, EngineKind::Clmul] {
+    for kind in [EngineKind::Slice16, EngineKind::Clmul] {
         let crc = Crc::try_with_engine(catalog::CRC32_ISO_HDLC, kind).expect("valid catalog entry");
         group.bench_with_input(
             BenchmarkId::new("batch_1514B", kind.name()),

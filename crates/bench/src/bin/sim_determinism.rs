@@ -1,20 +1,18 @@
 //! Exact-count dump of a fixed Monte-Carlo suite, for determinism checks.
 //!
 //! Runs the simulator over a fixed set of scenarios at the given worker
-//! thread count and execution mode and writes every tally as JSON. CI's
-//! `sim-determinism` job runs this four times — `--threads 1` and
-//! `--threads 4`, each in `--mode sharded` and `--mode pipelined` — and
-//! requires all outputs byte-identical: the engine's results must be a
-//! pure function of the seed, never of the thread schedule or of whether
-//! the produce/consume stages were pipelined. Thread count and mode are
-//! deliberately *not* recorded in the JSON so the files diff directly.
+//! thread count and writes every tally as JSON. CI's `sim-determinism`
+//! job runs this at `--threads 1`, `2` and `4` and requires all outputs
+//! byte-identical: the engine's results must be a pure function of the
+//! seed, never of the thread schedule. The thread count is deliberately
+//! *not* recorded in the JSON so the files diff directly.
 //!
 //! The suite covers both engine paths: content-independent channels on
 //! the XOR-delta fast path and content-dependent ones (jammer, stuffing
 //! slips, length errors) on the eager path.
 //!
 //! Usage: `cargo run --release -p crc-experiments --bin sim_determinism
-//! [--threads N] [--mode sharded|pipelined] [--out PATH]`
+//! [--threads N] [--out PATH]`
 
 use crckit::catalog;
 use netsim::channel::{
@@ -38,14 +36,8 @@ fn stats_json(name: &str, seed: u64, s: &TrialStats) -> String {
 
 fn main() {
     let threads: usize = arg_or("--threads", 0);
-    let mode: String = arg_or("--mode", "sharded".to_string());
     let out_path: String = arg_or("--out", "sim_determinism.json".to_string());
-    let mut sim = Simulator::new().threads(threads);
-    match mode.as_str() {
-        "sharded" => {}
-        "pipelined" => sim = sim.pipelined(),
-        other => panic!("unknown --mode {other:?} (expected sharded|pipelined)"),
-    }
+    let sim = Simulator::new().threads(threads);
 
     let mut rows: Vec<String> = Vec::new();
 

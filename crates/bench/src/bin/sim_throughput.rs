@@ -7,14 +7,12 @@
 //!   frame, corrupt it, verify it, repeat;
 //! * **batch ×1** — the sharded engine pinned to one thread: reused frame
 //!   buffers sealed in place, burst corruption, burst verification;
-//! * **sharded ×N** — the same engine on every available core;
-//! * **pipelined ×N** — the two-stage pipeline: producer/consumer lanes
-//!   overlapping channel RNG with CRC verification.
+//! * **sharded ×N** — the same engine on every available core.
 //!
 //! A second scenario, **jammer_eager**, swaps the BSC for the
 //! content-dependent [`JammerChannel`], which cannot take the XOR-delta
 //! shortcut: every frame is filled, sealed and (when struck) verified —
-//! the eager path at full scale, in both sharded and pipelined mode.
+//! the eager path at full scale.
 //!
 //! Prints frames/sec for each, checks the acceptance gate (sharded ≥ 5×
 //! reference on ≥ 4 cores; single-thread batch > reference everywhere),
@@ -121,12 +119,6 @@ fn main() {
     });
     println!("  sharded   ×{host_threads} : {sharded:>12.0} frames/s");
 
-    let piped = Simulator::new().pipelined();
-    let pipelined = measure(reps, trials, || {
-        piped.run(&codec, &BscChannel::new(BER), &cfg)
-    });
-    println!("  pipelined ×{host_threads} : {pipelined:>12.0} frames/s");
-
     // The content-dependent workload: every frame filled and sealed, no
     // delta shortcut — the eager path is what the jammer suite stresses.
     let jam_cfg = TrialConfig {
@@ -138,18 +130,12 @@ fn main() {
     });
     println!("  jammer_eager ×{host_threads} : {jammer_eager:>9.0} frames/s");
 
-    let jammer_pipelined = measure(reps, trials, || {
-        piped.run(&codec, &JammerChannel::hdlc(JAMMER_HIT), &jam_cfg)
-    });
-    println!("  jammer_pipelined ×{host_threads} : {jammer_pipelined:>5.0} frames/s");
-
     let batch_speedup = batch1 / reference;
     let sharded_speedup = sharded / reference;
     println!(
         "\nbatch ×1 vs reference: {batch_speedup:.2}x; sharded ×{host_threads} vs \
-         reference: {sharded_speedup:.2}x; pipelined vs sharded: {:.2}x; \
-         eager (jammer) runs at {:.2}x the delta path",
-        pipelined / sharded,
+         reference: {sharded_speedup:.2}x; eager (jammer) runs at {:.2}x the \
+         delta path",
         jammer_eager / sharded
     );
     if batch_speedup < 1.0 {
@@ -181,9 +167,7 @@ fn main() {
         ("reference", 1usize, reference),
         ("batch", 1, batch1),
         ("sharded", host_threads, sharded),
-        ("pipelined", host_threads, pipelined),
         ("jammer_eager", host_threads, jammer_eager),
-        ("jammer_pipelined", host_threads, jammer_pipelined),
     ];
     for (i, (mode, threads, rate)) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
@@ -199,9 +183,8 @@ fn main() {
     std::fs::write(&out_path, json).expect("write benchmark JSON");
     println!("wrote {out_path}");
 
-    // Engine telemetry accumulated across every run above: lane frame
-    // counts, producer/consumer stalls, eager-vs-delta path split, and the
-    // consume-stage burst histogram. Integers only, so the file is
+    // Engine telemetry accumulated across every run above: the
+    // eager-vs-delta path split and the consume-stage burst histogram. Integers only, so the file is
     // diffable like the throughput trail.
     telemetry::global()
         .write_snapshot(std::path::Path::new(&telemetry_out))

@@ -6,7 +6,7 @@ use crate::filter::hd_filter_in;
 use crate::genpoly::GenPoly;
 use crate::workspace::SyndromeWorkspace;
 use crate::Result;
-use gf2poly::{factor, FactorClass, SplitMix64};
+use gf2poly::{factor, wilson, FactorClass, SplitMix64, Z95};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -251,8 +251,7 @@ pub fn class_census(
     }
     let hits = hits.into_inner();
     let class_size = class.size();
-    let p_hat = hits as f64 / samples as f64;
-    let (lo, hi) = wilson_interval(hits, samples);
+    let (p_hat, lo, hi) = wilson(hits, samples, Z95);
     Ok(CensusEstimate {
         class: class.to_string(),
         class_size,
@@ -262,21 +261,6 @@ pub fn class_census(
         ci95: (lo * class_size as f64, hi * class_size as f64),
         examples: examples.into_inner(),
     })
-}
-
-/// 95% Wilson score interval for a binomial proportion.
-pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
-    if trials == 0 {
-        return (0.0, 1.0);
-    }
-    let z = 1.959_963_984_540_054_f64; // Φ⁻¹(0.975)
-    let n = trials as f64;
-    let p = successes as f64 / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let center = (p + z2 / (2.0 * n)) / denom;
-    let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-    ((center - half).max(0.0), (center + half).min(1.0))
 }
 
 #[cfg(test)]
@@ -408,15 +392,5 @@ mod tests {
             "estimate {} vs true {true_count}",
             est.estimate
         );
-    }
-
-    #[test]
-    fn wilson_interval_basics() {
-        let (lo, hi) = wilson_interval(0, 100);
-        assert!(lo.abs() < 1e-12);
-        assert!(hi < 0.05);
-        let (lo, hi) = wilson_interval(50, 100);
-        assert!(lo < 0.5 && 0.5 < hi);
-        assert_eq!(wilson_interval(0, 0), (0.0, 1.0));
     }
 }

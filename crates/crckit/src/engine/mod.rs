@@ -1,14 +1,13 @@
 //! The pluggable multi-tier CRC engine.
 //!
-//! One [`Crc`] value owns everything needed to run any of six engine
+//! One [`Crc`] value owns everything needed to run any of five engine
 //! tiers over the same parameter set:
 //!
 //! | [`EngineKind`] | technique                              | use case |
 //! |----------------|----------------------------------------|----------|
 //! | `Bitwise`      | shift register, one bit at a time      | reference / cross-validation |
 //! | `Bytewise`     | 256-entry table                        | tiny code+data footprint |
-//! | `Slice8`       | slicing-by-8, 16 KiB of tables         | classic software fast path |
-//! | `Slice16`      | slicing-by-16, 32 KiB of tables        | large buffers, wide OoO cores |
+//! | `Slice16`      | slicing-by-16, 32 KiB of tables        | software fast path |
 //! | `Chorba`       | tableless spread-generator shift-XOR   | table-cache-hostile workloads |
 //! | `Clmul`        | carryless-multiply folding (PCLMULQDQ / PMULL) | bulk throughput |
 //!
@@ -38,8 +37,6 @@ pub enum EngineKind {
     Bitwise,
     /// One 256-entry table, a byte at a time.
     Bytewise,
-    /// Slicing-by-8: eight tables, 8 input bytes per step.
-    Slice8,
     /// Slicing-by-16: sixteen tables, 16 input bytes per step.
     Slice16,
     /// Chorba-style tableless engine: the generator is spread by repeated
@@ -55,10 +52,9 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Every engine kind, for iteration in tests and benches.
-    pub const ALL: [EngineKind; 6] = [
+    pub const ALL: [EngineKind; 5] = [
         EngineKind::Bitwise,
         EngineKind::Bytewise,
-        EngineKind::Slice8,
         EngineKind::Slice16,
         EngineKind::Chorba,
         EngineKind::Clmul,
@@ -70,7 +66,6 @@ impl EngineKind {
         match self {
             EngineKind::Bitwise => "bitwise",
             EngineKind::Bytewise => "bytewise",
-            EngineKind::Slice8 => "slice8",
             EngineKind::Slice16 => "slice16",
             EngineKind::Chorba => "chorba",
             EngineKind::Clmul => "clmul",
@@ -333,7 +328,6 @@ impl Crc {
                 }
                 state
             }
-            EngineKind::Slice8 => self.update_raw(state, bytes),
             EngineKind::Slice16 => self.update_slice16_raw(state, bytes),
             EngineKind::Chorba => chorba::update(self, &self.chorba, state, bytes),
             EngineKind::Clmul => clmul::update(self, &self.fold, state, bytes),
@@ -380,8 +374,8 @@ impl Crc {
         state
     }
 
-    /// Slicing-by-8 update (the historical fast path; still the remainder
-    /// engine the accelerated tiers drain through).
+    /// Slicing-by-8 update: not a tier of its own, but the remainder
+    /// engine slicing-by-16 and the accelerated tiers drain through.
     #[inline]
     pub(crate) fn update_raw(&self, mut state: u64, bytes: &[u8]) -> u64 {
         let mut chunks = bytes.chunks_exact(8);

@@ -23,7 +23,7 @@
 //! # Engine tiers
 //!
 //! [`Crc::new`] detects the host CPU at construction and selects the
-//! fastest of six interchangeable engine tiers ([`EngineKind`]); every
+//! fastest of five interchangeable engine tiers ([`EngineKind`]); every
 //! tier is bit-identical on every parameter set, enforced by the §4.5
 //! differential test suite. [`Crc::checksum_with`] pins a tier
 //! explicitly; `CRCKIT_FORCE_ENGINE=<name>` in the environment overrides
@@ -34,7 +34,6 @@
 //! |------|-----------|-------------|-----------------|
 //! | [`EngineKind::Bitwise`]  | shift register, 1 bit/step | none | 0.08 |
 //! | [`EngineKind::Bytewise`] | 256-entry table | 2 KiB | 0.33 |
-//! | [`EngineKind::Slice8`]   | slicing-by-8 | 16 KiB | 1.3 |
 //! | [`EngineKind::Slice16`]  | slicing-by-16 | 32 KiB | 1.7 |
 //! | [`EngineKind::Chorba`]   | tableless spread-generator XOR | ≤ 0.5 KiB | 0.7–1.8 |
 //! | [`EngineKind::Clmul`]    | PCLMULQDQ/PMULL folding | 64 B of keys | 10–21 |

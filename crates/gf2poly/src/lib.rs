@@ -50,7 +50,7 @@ pub use irred::{count_irreducibles, is_irreducible, is_primitive};
 pub use modring::{fold_constants, ModCtx};
 pub use order::order_of_x;
 pub use poly::Poly;
-pub use rng::SplitMix64;
+pub use rng::{wilson, SplitMix64, Z95};
 
 use std::error::Error as StdError;
 use std::fmt;

@@ -148,8 +148,7 @@ impl Merge for MixStats {
 
 impl Simulator {
     /// Pushes mixed-size frames through forks of `channel`, tallying per
-    /// class — the sharded, batch-driven form of [`run_mix`], which also
-    /// honors [`Simulator::pipelined`] mode.
+    /// class — the sharded, batch-driven form of [`run_mix`].
     pub fn run_mix(
         &self,
         codec: &FrameCodec,

@@ -31,39 +31,34 @@
 //! [`Simulator::DEFAULT_SHARD_FRAMES`] = 1024 frames; the tail shard may
 //! be short). Worker threads — one per core by default — claim shard
 //! indices from an atomic counter, so scheduling is dynamic, but the
-//! *work* inside shard `i` is a pure function of the configuration:
+//! *work* inside shard `i` is a pure function of the configuration. Each
+//! shard draws from three disjoint random streams seeded by
+//! [`montecarlo::shard_seed`]`(cfg.seed, i, stream)`:
 //!
-//! * the payload RNG is seeded with [`montecarlo::shard_seed`]
-//!   `(cfg.seed, i, 0)`;
-//! * the channel is [`Channel::fork`]ed with `shard_seed(cfg.seed, i, 1)`,
+//! * [`montecarlo::STREAM_PLAN`] (0) plans frames: payload lengths and
+//!   traffic-class tags;
+//! * [`montecarlo::STREAM_CHANNEL`] (1) [`Channel::fork`]s the channel,
 //!   which resets all channel state (RNG *and* e.g. the Gilbert–Elliott
 //!   Markov state);
-//! * tallies merge by exact integer sums ([`TrialStats::merge`]),
-//!   commutative and associative.
+//! * [`montecarlo::STREAM_FILL`] (2) fills payload bytes.
 //!
-//! Same seed ⇒ bit-identical [`TrialStats`] at 1 thread or 64. Within a
-//! shard, frames are processed in bursts of [`Simulator::DEFAULT_BATCH`]
-//! (256): payloads are filled and sealed in place in reused buffers
-//! ([`FrameCodec::seal`]), corrupted in one [`Channel::corrupt_batch`]
-//! call (the BSC carries its geometric skip across frame boundaries —
-//! exact for a memoryless channel and far fewer RNG draws at low BER),
-//! and the corrupted subset is verified in one
-//! [`FrameCodec::verify_batch`] call.
+//! Tallies merge by exact integer sums ([`TrialStats::merge`]),
+//! commutative and associative, so the same seed gives bit-identical
+//! [`TrialStats`] at 1 thread or 64. Within a shard, frames are processed
+//! in bursts of [`Simulator::DEFAULT_BATCH`] (256): payloads are filled
+//! and sealed in place in reused buffers ([`FrameCodec::seal`]),
+//! corrupted in one [`Channel::corrupt_batch`] call (the BSC carries its
+//! geometric skip across frame boundaries — exact for a memoryless
+//! channel and far fewer RNG draws at low BER), and the corrupted subset
+//! is verified in one [`FrameCodec::verify_batch`] call.
 //!
-//! # The two-stage pipeline, and when eager vs delta applies
+//! # The two stages of a burst, and when eager vs delta applies
 //!
 //! Every burst passes through a **produce** stage (plan frame lengths,
 //! prepare buffers, run the channel — RNG-bound) and a **consume** stage
-//! (compose payloads, batch-verify, tally — CRC-bound). The two stages
-//! draw from disjoint [`montecarlo::shard_seed`] streams
-//! ([`montecarlo::STREAM_PLAN`], [`montecarlo::STREAM_CHANNEL`],
-//! [`montecarlo::STREAM_FILL`]), so [`Simulator::pipelined`] mode can
-//! pair worker threads into producer/consumer lanes with bursts
-//! double-buffered between them — channel randomness for shard `k+1`
-//! overlaps CRC verification of shard `k` — while tallying
-//! **bit-identically** to sharded mode at any thread count.
-//!
-//! Which stage fills payloads depends on the channel:
+//! (compose payloads, batch-verify, tally — CRC-bound), called back to
+//! back on the worker that owns the shard. Which stage fills payloads
+//! depends on the channel:
 //!
 //! * [`Channel::content_independent`] channels ride the **delta path**:
 //!   produce corrupts all-zero frames, and consume fills/seals/composes
@@ -76,15 +71,18 @@
 //!   no XOR delta can express. Debug builds probe channels claiming
 //!   content independence and panic on a mis-flagged one.
 //!
+//! The two paths draw different amounts from the fill stream, but the
+//! plan and channel streams are their own, so a content-independent
+//! channel tallies bit-identically on either path.
+//!
 //! # Reproducing a CI simulation run locally
 //!
 //! CI's `sim-determinism` job runs
-//! `cargo run --release -p crc-experiments --bin sim_determinism -- --threads T --mode M --out out.json`
-//! at `T = 1` and `T = 4` in both `sharded` and `pipelined` mode and
-//! requires all four JSON files byte-identical. To reproduce any of its
-//! scenarios, build the same `Simulator` (the defaults —
-//! `DEFAULT_SHARD_FRAMES` and any thread count or mode — match CI) with
-//! the seed printed in the JSON; per-shard streams derive from
+//! `cargo run --release -p crc-experiments --bin sim_determinism -- --threads T --out out.json`
+//! at `T = 1`, `2` and `4` and requires the JSON files byte-identical.
+//! To reproduce any of its scenarios, build the same `Simulator` (the
+//! defaults — `DEFAULT_SHARD_FRAMES` and any thread count — match CI)
+//! with the seed printed in the JSON; per-shard streams derive from
 //! [`montecarlo::shard_seed`] as described above, so even a single shard
 //! can be replayed in isolation.
 //!

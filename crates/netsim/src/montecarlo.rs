@@ -28,26 +28,26 @@
 //! [`Channel::corrupt_batch`], and verified through
 //! [`FrameCodec::verify_batch`] so the CLMUL engine sees contiguous work.
 //!
-//! # The two-stage pipeline
+//! # The two stages of a burst
 //!
-//! Every burst passes through two stages: **produce** (plan frame
-//! lengths, prepare buffers, run the channel — RNG-bound) and **consume**
-//! (compose payloads, batch-verify CRCs, tally — CRC-bound). Sharded
-//! mode alternates them on one thread; [`Simulator::pipelined`] mode
-//! pairs worker threads into lanes running the stages concurrently, with
-//! bursts double-buffered between them, so channel randomness for shard
-//! `k+1` overlaps verification of shard `k`. Because planning, channel
-//! and payload randomness live on **disjoint** [`shard_seed`] streams
-//! ([`STREAM_PLAN`]/[`STREAM_CHANNEL`]/[`STREAM_FILL`] — the stage that
-//! fills payloads owns the fill stream), both modes consume identical
-//! streams and tally bit-identically at any thread count.
+//! Every burst passes through two stages, called back to back:
+//! **produce** (plan frame lengths, prepare buffers, run the channel —
+//! RNG-bound) and **consume** (compose payloads, batch-verify CRCs,
+//! tally — CRC-bound). Planning, channel and payload randomness live on
+//! **disjoint** [`shard_seed`] streams
+//! ([`STREAM_PLAN`]/[`STREAM_CHANNEL`]/[`STREAM_FILL`]), so a frame's
+//! length and tag never depend on how many payload bytes were drawn
+//! before it.
 //!
 //! Which stage fills payloads depends on the path: content-independent
 //! channels ride the **delta path** (corrupt all-zero frames in produce;
 //! fill, seal and compose only the corrupted minority in consume), while
 //! content-dependent channels — jammers keying on frame bytes, stuffing
 //! slips, length errors — are filled and sealed eagerly in produce so
-//! the channel sees real content.
+//! the channel sees real content. The delta path fills only corrupted
+//! frames and the eager path fills every frame, yet both draw the same
+//! plan and channel streams, which is what keeps their tallies identical
+//! for a content-independent channel.
 
 use crate::channel::{Channel, FixedWeightChannel};
 use crate::frame::FrameCodec;
@@ -61,38 +61,8 @@ use std::sync::{Arc, OnceLock};
 /// range spans tens of microseconds to tens of milliseconds.
 const CONSUME_BURST_BOUNDS: [u64; 9] = [10, 50, 100, 500, 1_000, 5_000, 10_000, 50_000, 100_000];
 
-/// Cached handles for one pipeline lane (`sim.lane.{l}.*`), resolved
-/// once at lane spawn so the burst loop never touches the registry lock.
-/// `None` when telemetry is disabled — the lane threads then run their
-/// plain blocking send/recv paths with zero added work.
-#[derive(Clone)]
-struct LaneMetrics {
-    /// Frames tallied by this lane's consumer (`sim.lane.{l}.frames`).
-    frames: Arc<telemetry::Counter>,
-    /// Times the producer found no free buffer or a full job queue.
-    producer_stalls: Arc<telemetry::Counter>,
-    /// Times the consumer found the job queue empty.
-    consumer_stalls: Arc<telemetry::Counter>,
-    /// Wall-clock µs the lane's consumer ran, set once at lane exit.
-    elapsed_us: Arc<telemetry::Gauge>,
-}
-
-fn lane_metrics(lane: usize) -> Option<LaneMetrics> {
-    let reg = telemetry::global();
-    if !reg.enabled() {
-        return None;
-    }
-    Some(LaneMetrics {
-        frames: reg.counter(&format!("sim.lane.{lane}.frames")),
-        producer_stalls: reg.counter(&format!("sim.lane.{lane}.producer_stalls")),
-        consumer_stalls: reg.counter(&format!("sim.lane.{lane}.consumer_stalls")),
-        elapsed_us: reg.gauge(&format!("sim.lane.{lane}.elapsed_us")),
-    })
-}
-
 /// Process-wide engine-path counters (`sim.path.*`) and the consume-stage
-/// burst histogram, shared by the sharded loop, the pipeline's solo
-/// worker, and every lane consumer.
+/// burst histogram, shared by every worker.
 struct PathMetrics {
     /// Frames tallied on the eager (encode→corrupt→verify) path.
     eager_frames: Arc<telemetry::Counter>,
@@ -193,34 +163,18 @@ impl TrialStats {
     /// were observed — the usual situation for 32-bit CRCs, where the
     /// interesting number is "how small a rate have the trials excluded".
     pub fn undetected_wilson(&self, z: f64) -> Option<(f64, f64)> {
-        let n = self.corrupted() as f64;
-        if n == 0.0 {
+        let n = self.corrupted();
+        if n == 0 {
             return None;
         }
-        let p = self.undetected as f64 / n;
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        let center = (p + z2 / (2.0 * n)) / denom;
-        let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-        // Pin the degenerate endpoints: algebraically the bound is exactly
-        // 0 (or 1) there, but `center - half` leaves float residue.
-        let lo = if self.undetected == 0 {
-            0.0
-        } else {
-            (center - half).max(0.0)
-        };
-        let hi = if self.undetected == self.corrupted() {
-            1.0
-        } else {
-            (center + half).min(1.0)
-        };
+        let (_, lo, hi) = gf2poly::wilson(self.undetected, n, z);
         Some((lo, hi))
     }
 
     /// The 95% Wilson interval ([`TrialStats::undetected_wilson`] at
     /// z = 1.96).
     pub fn undetected_ci95(&self) -> Option<(f64, f64)> {
-        self.undetected_wilson(1.959_963_984_540_054)
+        self.undetected_wilson(gf2poly::Z95)
     }
 }
 
@@ -233,11 +187,11 @@ impl TrialStats {
 /// whole seeding scheme: any shard of any CI run can be reproduced
 /// locally from `(seed, shard, stream)` alone.
 ///
-/// Plan, channel and fill draw from **disjoint streams** so the engine's
-/// two stages never contend for one generator: the produce stage (plan +
-/// corrupt) and the consume stage (compose + verify) can run on different
-/// threads in pipelined mode, each seeding its own streams from the shard
-/// index alone, and still reproduce the sharded mode bit for bit.
+/// Plan, channel and fill draw from **disjoint streams** so the number of
+/// payload bytes drawn never shifts a frame's plan or corruption: the
+/// delta path fills only the corrupted frames while the eager path fills
+/// every frame, and because both read identical plan and channel streams
+/// a content-independent channel tallies bit-identically on either path.
 pub fn shard_seed(seed: u64, shard: u64, stream: u64) -> u64 {
     let mut z = seed
         ^ shard.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -257,8 +211,8 @@ pub const STREAM_FILL: u64 = 2;
 
 /// The two payload-side random streams of one shard: `plan` draws frame
 /// lengths and tags, `fill` draws payload bytes. Whichever stage fills
-/// payloads (produce on the eager path, consume on the delta path) owns
-/// `fill` — the split is what lets the stages live on different threads.
+/// payloads (produce on the eager path, consume on the delta path) draws
+/// from `fill`; `plan` is untouched by how many frames get filled.
 pub(crate) struct ShardStreams {
     pub(crate) plan: rand::rngs::StdRng,
     pub(crate) fill: rand::rngs::StdRng,
@@ -286,15 +240,12 @@ impl ShardStreams {
 /// let one = Simulator::new().threads(1).run(&codec, &BscChannel::new(1e-3), &cfg);
 /// let four = Simulator::new().threads(4).run(&codec, &BscChannel::new(1e-3), &cfg);
 /// assert_eq!(one, four); // same seed => identical stats, any thread count
-/// let piped = Simulator::new().pipelined().threads(4).run(&codec, &BscChannel::new(1e-3), &cfg);
-/// assert_eq!(one, piped); // pipelining reschedules work, never changes it
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulator {
     threads: usize,
     batch: usize,
     shard_frames: u64,
-    pipelined: bool,
 }
 
 impl Default for Simulator {
@@ -310,9 +261,6 @@ impl Simulator {
     /// runs still fan out across workers, large enough that per-shard
     /// setup (channel fork, RNG init) is noise.
     pub const DEFAULT_SHARD_FRAMES: u64 = 1024;
-    /// Bursts queued between a pipeline lane's producer and consumer (the
-    /// double buffer), on top of the burst each stage holds in hand.
-    const PIPE_DEPTH: usize = 2;
 
     /// A simulator with default sharding that uses every available core.
     pub fn new() -> Simulator {
@@ -320,32 +268,7 @@ impl Simulator {
             threads: 0,
             batch: Self::DEFAULT_BATCH,
             shard_frames: Self::DEFAULT_SHARD_FRAMES,
-            pipelined: false,
         }
-    }
-
-    /// Switches to the two-stage pipelined execution mode: worker threads
-    /// pair into lanes whose **producer** half plans frames and runs the
-    /// channel (the RNG-bound stage) while the **consumer** half composes
-    /// payloads, batch-verifies CRCs and tallies (the CRC-bound stage) —
-    /// so channel corruption for the next burst overlaps verification of
-    /// the previous one through a double-buffered handoff.
-    ///
-    /// Purely a scheduling change: plan, channel and fill randomness live
-    /// on disjoint [`shard_seed`] streams, laid out identically in both
-    /// modes, so a pipelined run is **bit-identical** to the sharded mode
-    /// at any thread count. With fewer than two workers the stages simply
-    /// run back to back on one thread; an odd worker count runs the
-    /// unpaired worker the same sequential way alongside the lanes, so no
-    /// requested thread idles.
-    pub fn pipelined(mut self) -> Simulator {
-        self.pipelined = true;
-        self
-    }
-
-    /// Whether [`Simulator::pipelined`] mode is selected.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipelined
     }
 
     /// Sets the worker thread count (0 = one per available core).
@@ -392,67 +315,14 @@ impl Simulator {
         requested.clamp(1, shards.max(1) as usize)
     }
 
-    /// Shard-pool driver: claims shard indices from an atomic counter,
-    /// runs `make_worker()`'s closure on each, and merges the partial
-    /// tallies. `make_worker` is called once per worker so burst scratch
-    /// buffers are reused across that worker's shards.
-    pub(crate) fn run_sharded<S, G, F>(&self, trials: u64, make_worker: G) -> S
-    where
-        S: Default + Send + Merge,
-        G: Fn() -> F + Sync,
-        F: FnMut(u64, u64) -> S,
-    {
-        let shard_frames = self.shard_frames;
-        let shards = trials.div_ceil(shard_frames);
-        let shard_len = |shard: u64| shard_frames.min(trials - shard * shard_frames);
-        let workers = self.worker_count(shards);
-        if workers <= 1 {
-            let mut acc = S::default();
-            let mut work = make_worker();
-            for shard in 0..shards {
-                acc.merge_from(work(shard, shard_len(shard)));
-            }
-            return acc;
-        }
-        let next = AtomicU64::new(0);
-        let partials: Vec<S> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut local = S::default();
-                        let mut work = make_worker();
-                        loop {
-                            let shard = next.fetch_add(1, Ordering::Relaxed);
-                            if shard >= shards {
-                                break;
-                            }
-                            local.merge_from(work(shard, shard_len(shard)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulator worker"))
-                .collect()
-        })
-        .expect("simulator scope");
-        let mut acc = S::default();
-        for partial in partials {
-            acc.merge_from(partial);
-        }
-        acc
-    }
-
     /// Pushes random frames through forks of `channel`, tallying CRC
     /// verdicts. Deterministic for a given `(cfg, shard_frames)`
-    /// regardless of `threads` and of sharded vs [`Simulator::pipelined`]
-    /// mode. Exact tallies are also reproducible at equal `batch`; a
-    /// channel whose `corrupt_batch` override carries a random stream
-    /// across frame boundaries (e.g. [`crate::channel::BscChannel`]'s geometric skip)
-    /// lays that stream out per burst, so a *different* batch size can
-    /// regroup it — same distribution, different draws.
+    /// regardless of `threads`. Exact tallies are also reproducible at
+    /// equal `batch`; a channel whose `corrupt_batch` override carries a
+    /// random stream across frame boundaries (e.g.
+    /// [`crate::channel::BscChannel`]'s geometric skip) lays that stream
+    /// out per burst, so a *different* batch size can regroup it — same
+    /// distribution, different draws.
     ///
     /// For [`Channel::content_independent`] channels the engine runs the
     /// **delta path**: the burst is corrupted as all-zero delta frames
@@ -479,12 +349,16 @@ impl Simulator {
         )
     }
 
-    /// Engine core shared by [`Simulator::run`] and [`Simulator::run_mix`]:
-    /// dispatches a run to the sharded or pipelined driver. `make_plan`
-    /// yields a per-worker closure fixing each frame's `(payload_len,
-    /// tag)` from the shard's plan stream; `sink` folds one frame's
-    /// outcome into the mergeable partial `S` (`verdict = None` for
-    /// frames the channel left untouched).
+    /// The engine's one driver, shared by [`Simulator::run`] and
+    /// [`Simulator::run_mix`]: workers claim shard indices from an atomic
+    /// counter, run each shard's bursts through [`produce_burst`] and
+    /// [`consume_burst`] back to back, and the workers' partial tallies
+    /// merge at the end. `make_plan` yields a per-worker closure fixing
+    /// each frame's `(payload_len, tag)` from the shard's plan stream;
+    /// `sink` folds one frame's outcome into the worker's mergeable
+    /// partial `S` (`verdict = None` for frames the channel left
+    /// untouched). A shard's draws depend on its index alone and merging
+    /// is an exact sum, so the tally is the same at any thread count.
     pub(crate) fn run_engine<S, GP, FP>(
         &self,
         codec: &FrameCodec,
@@ -499,232 +373,65 @@ impl Simulator {
         GP: Fn() -> FP + Sync,
         FP: FnMut(&mut rand::rngs::StdRng) -> (usize, usize),
     {
-        let shards = trials.div_ceil(self.shard_frames);
-        if self.pipelined && self.worker_count(shards) >= 2 {
-            return self.run_pipeline(codec, channel, seed, trials, &make_plan, &sink);
-        }
-        let batch = self.batch;
-        let sink = &sink;
-        let make_plan = &make_plan;
-        self.run_sharded(trials, move || {
-            let mut scratch = ShardScratch::new(batch);
-            let mut plan = make_plan();
-            move |shard, count| {
-                let mut local = S::default();
-                run_shard_two_stage(
-                    codec,
-                    channel,
-                    seed,
-                    shard,
-                    count,
-                    &mut scratch,
-                    &mut plan,
-                    |tag, flips, verdict| sink(&mut local, tag, flips, verdict),
-                );
-                local
-            }
-        })
-    }
-
-    /// The two-stage pipelined driver: `workers / 2` lanes, each pairing
-    /// a producer thread (plan + corrupt — it claims shards from the
-    /// shared counter) with a consumer thread (compose + verify + tally)
-    /// over a bounded queue of [`Simulator::PIPE_DEPTH`] bursts. Burst
-    /// buffers recycle through a return channel, so the steady state
-    /// allocates nothing and at most `PIPE_DEPTH + 2` bursts per lane are
-    /// ever in flight.
-    fn run_pipeline<S, GP, FP>(
-        &self,
-        codec: &FrameCodec,
-        channel: &dyn Channel,
-        seed: u64,
-        trials: u64,
-        make_plan: &GP,
-        sink: &(impl Fn(&mut S, usize, u32, Option<bool>) + Sync),
-    ) -> S
-    where
-        S: Default + Send + Merge,
-        GP: Fn() -> FP + Sync,
-        FP: FnMut(&mut rand::rngs::StdRng) -> (usize, usize),
-    {
-        use std::sync::mpsc;
         let shard_frames = self.shard_frames;
         let shards = trials.div_ceil(shard_frames);
-        let shard_len = move |shard: u64| shard_frames.min(trials - shard * shard_frames);
-        let workers = self.worker_count(shards);
-        let lanes = (workers / 2).max(1);
         let batch = self.batch;
         let delta = channel.content_independent();
+        let pm = path_metrics();
         let next = AtomicU64::new(0);
-        let partials: Vec<S> = crossbeam::scope(|scope| {
-            let next = &next;
-            let mut consumers = Vec::with_capacity(lanes + 1);
-            // An odd worker count leaves one thread unpaired: run it as a
-            // sequential two-stage worker on the same shard counter (same
-            // stage functions, same streams — shard results are pure, so
-            // mixing lane and solo workers cannot change the tally).
-            if workers > lanes * 2 {
-                consumers.push(scope.spawn(move |_| {
-                    let mut local = S::default();
-                    let mut scratch = ShardScratch::new(batch);
-                    let mut plan = make_plan();
-                    loop {
-                        let shard = next.fetch_add(1, Ordering::Relaxed);
-                        if shard >= shards {
-                            break;
-                        }
-                        run_shard_two_stage(
-                            codec,
-                            channel,
-                            seed,
-                            shard,
-                            shard_len(shard),
-                            &mut scratch,
-                            &mut plan,
-                            |tag, f, v| sink(&mut local, tag, f, v),
-                        );
-                    }
-                    local
-                }));
-            }
-            for lane in 0..lanes {
-                let (job_tx, job_rx) = mpsc::sync_channel::<BurstJob>(Self::PIPE_DEPTH);
-                let (free_tx, free_rx) = mpsc::channel::<BurstJob>();
-                // The circulating buffer pool: the queue plus one burst in
-                // each stage's hands.
-                for _ in 0..Self::PIPE_DEPTH + 2 {
-                    free_tx
-                        .send(BurstJob::new(batch))
-                        .expect("receiver is live");
+        // One worker's whole life: burst buffers are reused across every
+        // shard it claims.
+        let worker = || {
+            let mut local = S::default();
+            let mut scratch = BurstScratch::new(batch);
+            let mut plan = make_plan();
+            loop {
+                let shard = next.fetch_add(1, Ordering::Relaxed);
+                if shard >= shards {
+                    return local;
                 }
-                // Resolved once per lane; the burst loops pay one branch
-                // per blocking point when telemetry is off.
-                let lane_prod = lane_metrics(lane);
-                let lane_cons = lane_prod.clone();
-                scope.spawn(move |_| {
-                    let lm = lane_prod;
-                    let mut plan = make_plan();
-                    loop {
-                        let shard = next.fetch_add(1, Ordering::Relaxed);
-                        if shard >= shards {
-                            break;
-                        }
-                        let mut streams = ShardStreams::new(seed, shard);
-                        let mut ch = channel.fork(shard_seed(seed, shard, STREAM_CHANNEL));
-                        let mut left = shard_len(shard);
-                        while left > 0 {
-                            let burst = (batch as u64).min(left) as usize;
-                            // A closed return channel means the consumer
-                            // died (panicked); stop producing. When
-                            // instrumented, an empty pool counts as a
-                            // producer stall (the consumer is behind)
-                            // before falling back to the blocking wait.
-                            let recycled = match &lm {
-                                Some(m) => match free_rx.try_recv() {
-                                    Ok(job) => Ok(job),
-                                    Err(mpsc::TryRecvError::Empty) => {
-                                        m.producer_stalls.inc();
-                                        free_rx.recv().map_err(|_| ())
-                                    }
-                                    Err(mpsc::TryRecvError::Disconnected) => Err(()),
-                                },
-                                None => free_rx.recv().map_err(|_| ()),
-                            };
-                            let Ok(mut job) = recycled else { return };
-                            job.shard = shard;
-                            produce_burst(
-                                codec,
-                                ch.as_mut(),
-                                &mut streams,
-                                &mut job,
-                                burst,
-                                &mut plan,
-                            );
-                            // A full job queue is the other producer-side
-                            // stall: the burst is ready but the consumer
-                            // has not drained the pipe.
-                            let sent = match &lm {
-                                Some(m) => match job_tx.try_send(job) {
-                                    Ok(()) => Ok(()),
-                                    Err(mpsc::TrySendError::Full(job)) => {
-                                        m.producer_stalls.inc();
-                                        job_tx.send(job).map_err(|_| ())
-                                    }
-                                    Err(mpsc::TrySendError::Disconnected(_)) => Err(()),
-                                },
-                                None => job_tx.send(job).map_err(|_| ()),
-                            };
-                            if sent.is_err() {
-                                return;
-                            }
-                            left -= burst as u64;
-                        }
+                let mut streams = ShardStreams::new(seed, shard);
+                let mut ch = channel.fork(shard_seed(seed, shard, STREAM_CHANNEL));
+                let mut left = shard_frames.min(trials - shard * shard_frames);
+                while left > 0 {
+                    let burst = (batch as u64).min(left) as usize;
+                    produce_burst(
+                        codec,
+                        ch.as_mut(),
+                        &mut streams,
+                        &mut scratch,
+                        burst,
+                        &mut plan,
+                    );
+                    let fill = if delta { Some(&mut streams.fill) } else { None };
+                    let span = pm.map(|p| telemetry::Span::start(&p.consume_burst_us));
+                    consume_burst(codec, fill, &mut scratch, |tag, flips, verdict| {
+                        sink(&mut local, tag, flips, verdict)
+                    });
+                    if let Some(sp) = span {
+                        sp.finish();
                     }
-                });
-                consumers.push(scope.spawn(move |_| {
-                    let lm = lane_cons;
-                    let pm = path_metrics();
-                    let t0 = std::time::Instant::now();
-                    let mut local = S::default();
-                    let mut work = Vec::new();
-                    // On the delta path the consumer owns the fill stream,
-                    // re-derived from the shard index at each shard
-                    // boundary (bursts of one shard arrive contiguously
-                    // and in order from this lane's producer).
-                    let mut fill: Option<(u64, rand::rngs::StdRng)> = None;
-                    loop {
-                        // An empty job queue counts as a consumer stall
-                        // (the producer is behind) before the blocking
-                        // wait; a disconnect means the producer finished.
-                        let received = match &lm {
-                            Some(m) => match job_rx.try_recv() {
-                                Ok(job) => Ok(job),
-                                Err(mpsc::TryRecvError::Empty) => {
-                                    m.consumer_stalls.inc();
-                                    job_rx.recv().map_err(|_| ())
-                                }
-                                Err(mpsc::TryRecvError::Disconnected) => Err(()),
-                            },
-                            None => job_rx.recv().map_err(|_| ()),
-                        };
-                        let Ok(mut job) = received else { break };
-                        let fill_rng = if delta {
-                            if fill.as_ref().map(|(s, _)| *s) != Some(job.shard) {
-                                fill = Some((job.shard, ShardStreams::new(seed, job.shard).fill));
-                            }
-                            fill.as_mut().map(|(_, rng)| rng)
+                    if let Some(p) = pm {
+                        let path = if delta {
+                            &p.delta_frames
                         } else {
-                            None
+                            &p.eager_frames
                         };
-                        let span = pm.map(|p| telemetry::Span::start(&p.consume_burst_us));
-                        consume_burst(codec, fill_rng, &mut job, &mut work, |tag, f, v| {
-                            sink(&mut local, tag, f, v)
-                        });
-                        if let Some(sp) = span {
-                            sp.finish();
-                        }
-                        if let Some(m) = &lm {
-                            m.frames.add(job.used as u64);
-                        }
-                        if let Some(p) = pm {
-                            let path = if delta {
-                                &p.delta_frames
-                            } else {
-                                &p.eager_frames
-                            };
-                            path.add(job.used as u64);
-                        }
-                        let _ = free_tx.send(job);
+                        path.add(burst as u64);
                     }
-                    if let Some(m) = &lm {
-                        m.elapsed_us.set(t0.elapsed().as_micros() as u64);
-                    }
-                    local
-                }));
+                    left -= burst as u64;
+                }
             }
-            consumers
+        };
+        let workers = self.worker_count(shards);
+        if workers <= 1 {
+            return worker();
+        }
+        let partials: Vec<S> = crossbeam::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(|_| worker())).collect();
+            handles
                 .into_iter()
-                .map(|h| h.join().expect("pipeline consumer"))
+                .map(|h| h.join().expect("simulator worker"))
                 .collect()
         })
         .expect("simulator scope");
@@ -759,44 +466,26 @@ impl Simulator {
     }
 }
 
-/// One burst of frames in flight through the engine: the unit the produce
-/// stage (plan + corrupt) hands to the consume stage (compose + verify +
-/// tally). In pipelined mode jobs travel between the lane's two threads
-/// and recycle through a return channel; in sharded mode a single job is
-/// reused in place.
-pub(crate) struct BurstJob {
-    /// Shard this burst belongs to — the consume stage derives the
-    /// shard's fill stream from it on the delta path.
-    shard: u64,
+/// One worker's reusable burst buffers: the frames a burst carries from
+/// the produce stage (plan + corrupt) to the consume stage (compose +
+/// verify + tally), and the consume stage's payload buffer.
+pub(crate) struct BurstScratch {
     /// Frames in use this burst (`frames[..used]`).
     used: usize,
     frames: Vec<Vec<u8>>,
     flips: Vec<u32>,
     tags: Vec<usize>,
+    /// Payload the delta path seals before composing it onto a delta.
+    work: Vec<u8>,
 }
 
-impl BurstJob {
-    fn new(batch: usize) -> BurstJob {
-        BurstJob {
-            shard: 0,
+impl BurstScratch {
+    fn new(batch: usize) -> BurstScratch {
+        BurstScratch {
             used: 0,
             frames: vec![Vec::new(); batch],
             flips: Vec::new(),
             tags: vec![0; batch],
-        }
-    }
-}
-
-/// Reusable per-worker buffers for the sequential (sharded-mode) loop.
-pub(crate) struct ShardScratch {
-    job: BurstJob,
-    work: Vec<u8>,
-}
-
-impl ShardScratch {
-    pub(crate) fn new(batch: usize) -> ShardScratch {
-        ShardScratch {
-            job: BurstJob::new(batch),
             work: Vec::new(),
         }
     }
@@ -816,17 +505,17 @@ pub(crate) fn produce_burst(
     codec: &FrameCodec,
     ch: &mut dyn Channel,
     streams: &mut ShardStreams,
-    job: &mut BurstJob,
+    buf: &mut BurstScratch,
     burst: usize,
     frame_plan: &mut impl FnMut(&mut rand::rngs::StdRng) -> (usize, usize),
 ) {
     let eager = !ch.content_independent();
     let overhead = codec.overhead();
-    job.used = burst;
+    buf.used = burst;
     for i in 0..burst {
         let (payload_len, tag) = frame_plan(&mut streams.plan);
-        job.tags[i] = tag;
-        let frame = &mut job.frames[i];
+        buf.tags[i] = tag;
+        let frame = &mut buf.frames[i];
         if eager {
             frame.clear();
             frame.resize(payload_len, 0);
@@ -836,7 +525,7 @@ pub(crate) fn produce_burst(
             frame.resize(payload_len + overhead, 0);
         }
     }
-    ch.corrupt_batch(&mut job.frames[..burst], &mut job.flips);
+    ch.corrupt_batch(&mut buf.frames[..burst], &mut buf.flips);
 }
 
 /// Stage two of the engine: on the delta path (`fill` is `Some`),
@@ -844,41 +533,40 @@ pub(crate) fn produce_burst(
 /// FCS) ⊕ δ`, payloads drawn from the fill stream — then batch-verifies
 /// the corrupted subset, reports every frame to `sink` (`verdict = None`
 /// for untouched frames), and restores the delta path's all-zero
-/// invariant on dirty frames so the job can be recycled.
+/// invariant on dirty frames so the buffers can be reused.
 pub(crate) fn consume_burst(
     codec: &FrameCodec,
     fill: Option<&mut rand::rngs::StdRng>,
-    job: &mut BurstJob,
-    work: &mut Vec<u8>,
+    buf: &mut BurstScratch,
     mut sink: impl FnMut(usize, u32, Option<bool>),
 ) {
-    let burst = job.used;
+    let burst = buf.used;
     let delta = fill.is_some();
     if let Some(rng) = fill {
         let overhead = codec.overhead();
-        for (frame, &f) in job.frames[..burst].iter_mut().zip(job.flips.iter()) {
+        for (frame, &f) in buf.frames[..burst].iter_mut().zip(buf.flips.iter()) {
             if f == 0 {
                 continue;
             }
-            work.clear();
-            work.resize(frame.len() - overhead, 0);
-            rng.fill(&mut work[..]);
-            codec.seal(work);
-            for (d, w) in frame.iter_mut().zip(work.iter()) {
+            buf.work.clear();
+            buf.work.resize(frame.len() - overhead, 0);
+            rng.fill(&mut buf.work[..]);
+            codec.seal(&mut buf.work);
+            for (d, w) in frame.iter_mut().zip(buf.work.iter()) {
                 *d ^= w;
             }
         }
     }
     // Verify the corrupted subset in one contiguous batch.
-    let corrupted: Vec<&[u8]> = job.frames[..burst]
+    let corrupted: Vec<&[u8]> = buf.frames[..burst]
         .iter()
-        .zip(job.flips.iter())
+        .zip(buf.flips.iter())
         .filter(|(_, &f)| f > 0)
         .map(|(frame, _)| frame.as_slice())
         .collect();
     let verdicts = codec.verify_batch(&corrupted);
     let mut v = verdicts.iter();
-    for (&tag, &f) in job.tags[..burst].iter().zip(job.flips.iter()) {
+    for (&tag, &f) in buf.tags[..burst].iter().zip(buf.flips.iter()) {
         let verdict = if f == 0 {
             None
         } else {
@@ -887,61 +575,11 @@ pub(crate) fn consume_burst(
         sink(tag, f, verdict);
     }
     if delta {
-        for (frame, &f) in job.frames[..burst].iter_mut().zip(job.flips.iter()) {
+        for (frame, &f) in buf.frames[..burst].iter_mut().zip(buf.flips.iter()) {
             if f > 0 {
                 frame.iter_mut().for_each(|b| *b = 0);
             }
         }
-    }
-}
-
-/// Runs one shard start to finish on a single thread: produce and consume
-/// alternate burst by burst. These are exactly the pipeline's stage
-/// functions against the same stream layout, which is what makes sharded
-/// and pipelined mode tally bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_shard_two_stage(
-    codec: &FrameCodec,
-    channel: &dyn Channel,
-    seed: u64,
-    shard: u64,
-    count: u64,
-    scratch: &mut ShardScratch,
-    frame_plan: &mut impl FnMut(&mut rand::rngs::StdRng) -> (usize, usize),
-    mut sink: impl FnMut(usize, u32, Option<bool>),
-) {
-    let batch = scratch.job.frames.len();
-    let mut streams = ShardStreams::new(seed, shard);
-    let mut ch = channel.fork(shard_seed(seed, shard, STREAM_CHANNEL));
-    let delta = channel.content_independent();
-    let pm = path_metrics();
-    scratch.job.shard = shard;
-    let mut left = count;
-    while left > 0 {
-        let burst = (batch as u64).min(left) as usize;
-        produce_burst(
-            codec,
-            ch.as_mut(),
-            &mut streams,
-            &mut scratch.job,
-            burst,
-            frame_plan,
-        );
-        let fill = if delta { Some(&mut streams.fill) } else { None };
-        let span = pm.map(|p| telemetry::Span::start(&p.consume_burst_us));
-        consume_burst(codec, fill, &mut scratch.job, &mut scratch.work, &mut sink);
-        if let Some(sp) = span {
-            sp.finish();
-        }
-        if let Some(p) = pm {
-            let path = if delta {
-                &p.delta_frames
-            } else {
-                &p.eager_frames
-            };
-            path.add(burst as u64);
-        }
-        left -= burst as u64;
     }
 }
 
@@ -1129,62 +767,38 @@ mod tests {
 
     #[test]
     fn stats_are_identical_across_thread_counts() {
+        // Thread count reschedules work, it never changes it — across
+        // delta-path channels, eager-path (content-dependent) channels,
+        // and a partial tail shard.
         let codec = FrameCodec::new(catalog::CRC32_ISO_HDLC);
         let cfg = TrialConfig {
-            payload_len: 300,
-            trials: 5_000,
+            payload_len: 307,
+            trials: 4_777, // deliberately not a multiple of the shard size
             seed: 0xDE7E_2717,
         };
         for channel in [
             &BscChannel::new(1e-3) as &dyn Channel,
             &BurstChannel::new(24),
             &GilbertElliottChannel::new(1e-4, 1e-2, 1e-7, 1e-2),
-        ] {
-            let one = Simulator::new().threads(1).run(&codec, channel, &cfg);
-            let three = Simulator::new().threads(3).run(&codec, channel, &cfg);
-            let eight = Simulator::new().threads(8).run(&codec, channel, &cfg);
-            assert_eq!(one, three, "1-thread vs 3-thread divergence");
-            assert_eq!(one, eight, "1-thread vs 8-thread divergence");
-        }
-    }
-
-    #[test]
-    fn pipelined_mode_is_bit_identical_to_sharded() {
-        // The acceptance gate in miniature: the pipelined tier reschedules
-        // work, it never changes it — across delta-path channels,
-        // eager-path (content-dependent) channels, thread counts, and
-        // partial tail shards.
-        let codec = FrameCodec::new(catalog::CRC32_ISO_HDLC);
-        let cfg = TrialConfig {
-            payload_len: 307,
-            trials: 4_777, // deliberately not a multiple of the shard size
-            seed: 0x919E,
-        };
-        for channel in [
-            &BscChannel::new(1e-3) as &dyn Channel,
-            &GilbertElliottChannel::new(1e-4, 1e-2, 1e-7, 1e-2),
             &JammerChannel::hdlc(0.5),
             &StuffingChannel::new(0.02),
             &TruncationChannel::new(0.05, 16),
         ] {
-            let sharded = Simulator::new().threads(1).run(&codec, channel, &cfg);
-            for threads in [1usize, 2, 5] {
-                let piped = Simulator::new()
-                    .pipelined()
-                    .threads(threads)
-                    .run(&codec, channel, &cfg);
-                assert_eq!(sharded, piped, "pipelined x{threads} diverged");
+            let one = Simulator::new().threads(1).run(&codec, channel, &cfg);
+            for threads in [2usize, 3, 5, 8] {
+                let many = Simulator::new().threads(threads).run(&codec, channel, &cfg);
+                assert_eq!(one, many, "1-thread vs {threads}-thread divergence");
             }
         }
     }
 
     #[test]
-    fn telemetry_tracks_lane_frames_and_path_split() {
-        // A pipelined delta-path run must account for every trial frame in
-        // the lane counters and on the delta path counter; an eager-path
-        // (content-dependent) run must land on the eager counter. Counters
-        // are process-global and other tests run pipelined sims in
-        // parallel, so assert the delta grew by at least this run's share.
+    fn telemetry_tracks_path_split() {
+        // A delta-path run must account for every trial frame on the
+        // delta path counter; an eager-path (content-dependent) run must
+        // land on the eager counter. Counters are process-global and other
+        // tests run sims in parallel, so assert the delta grew by at least
+        // this run's share.
         let codec = FrameCodec::new(catalog::CRC32_ISO_HDLC);
         let cfg = TrialConfig {
             payload_len: 64,
@@ -1192,23 +806,13 @@ mod tests {
             seed: 7,
         };
         let reg = telemetry::global();
-        let lane0 = reg.counter("sim.lane.0.frames");
         let delta = reg.counter("sim.path.delta_frames");
         let eager = reg.counter("sim.path.eager_frames");
-        let (l0, d0, e0) = (lane0.get(), delta.get(), eager.get());
-        Simulator::new()
-            .pipelined()
-            .threads(2)
-            .run(&codec, &BscChannel::new(1e-3), &cfg);
-        assert!(
-            lane0.get() - l0 >= cfg.trials,
-            "one lane tallies all frames"
-        );
+        let (d0, e0) = (delta.get(), eager.get());
+        let sim = Simulator::new().threads(2);
+        sim.run(&codec, &BscChannel::new(1e-3), &cfg);
         assert!(delta.get() - d0 >= cfg.trials, "BSC rides the delta path");
-        Simulator::new()
-            .pipelined()
-            .threads(2)
-            .run(&codec, &JammerChannel::hdlc(0.5), &cfg);
+        sim.run(&codec, &JammerChannel::hdlc(0.5), &cfg);
         assert!(
             eager.get() - e0 >= cfg.trials,
             "jammer rides the eager path"
@@ -1216,19 +820,18 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_mix_matches_sharded_mix() {
+    fn mix_is_identical_across_thread_counts() {
         let codec = FrameCodec::new(catalog::CRC32_ISCSI);
         let mix = crate::imix::TrafficMix::simple_imix();
         let ch = JammerChannel::hdlc(0.3);
-        let sharded = Simulator::new()
+        let one = Simulator::new()
             .threads(1)
             .run_mix(&codec, &ch, &mix, 3_000, 21);
-        let piped = Simulator::new()
-            .pipelined()
+        let four = Simulator::new()
             .threads(4)
             .run_mix(&codec, &ch, &mix, 3_000, 21);
-        assert_eq!(sharded.per_class.len(), piped.per_class.len());
-        for ((ca, sa), (cb, sb)) in sharded.per_class.iter().zip(&piped.per_class) {
+        assert_eq!(one.per_class.len(), four.per_class.len());
+        for ((ca, sa), (cb, sb)) in one.per_class.iter().zip(&four.per_class) {
             assert_eq!(ca, cb);
             assert_eq!(sa, sb, "per-class divergence for {}", ca.label);
         }

@@ -8,9 +8,9 @@
 //! closed-form `weights234` shift decomposition). Driving
 //! [`FixedWeightChannel`] through the [`Simulator`] must reproduce that
 //! fraction within the Wilson 95% interval — on the XOR-delta fast path,
-//! on the eager path (forced via a wrapper channel), and in pipelined
-//! mode, with the delta and eager tallies bit-identical because CRC
-//! linearity makes the verdict independent of payload content.
+//! on the eager path (forced via a wrapper channel), and at several
+//! thread counts, with the delta and eager tallies bit-identical because
+//! CRC linearity makes the verdict independent of payload content.
 
 use crc_hd::{costmodel, distribution, spectrum, weights, GenPoly};
 use crckit::catalog;
@@ -216,20 +216,19 @@ fn delta_and_eager_paths_tally_bit_identically() {
 }
 
 #[test]
-fn pipelined_oracle_run_is_bit_identical_to_sharded() {
+fn oracle_run_is_bit_identical_across_thread_counts() {
     let codec = FrameCodec::new(catalog::CRC8_SMBUS);
-    let sharded = Simulator::new()
+    let one = Simulator::new()
         .threads(1)
         .run_weighted(&codec, 2, 4, 60_000, 0x0AC1);
     for threads in [2usize, 4] {
-        let piped = Simulator::new()
-            .pipelined()
+        let many = Simulator::new()
             .threads(threads)
             .run_weighted(&codec, 2, 4, 60_000, 0x0AC1);
-        assert_eq!(sharded, piped, "pipelined x{threads} diverged");
+        assert_eq!(one, many, "{threads}-thread run diverged");
     }
-    // And the pipelined tally still satisfies the oracle bound.
+    // And the tally satisfies the oracle bound.
     let predicted = exact_rate(8, 0x07, 16, 4);
-    let (lo, hi) = sharded.undetected_ci95().expect("all frames corrupted");
+    let (lo, hi) = one.undetected_ci95().expect("all frames corrupted");
     assert!((lo..=hi).contains(&predicted));
 }

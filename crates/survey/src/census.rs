@@ -45,7 +45,7 @@ use crate::engine::Campaign;
 use crate::json::Json;
 use crate::{Error, Result};
 use crc_hd::distribution::Nat;
-use gf2poly::{FactorClass, SplitMix64};
+use gf2poly::{wilson, FactorClass, SplitMix64};
 
 /// One census stratum: an exactly sized, uniformly sampleable subset of
 /// the polynomial space.
@@ -197,38 +197,7 @@ pub fn unrank_combination(m: u64, k: u64, idx: u64) -> u64 {
     mask
 }
 
-/// The Wilson score interval around `s/n` at critical value `z`: the
-/// same interval netsim's Monte-Carlo statistics report, chosen for the
-/// same reason — it stays honest at the tiny densities and zero counts
-/// a census meets. Returns `(density, low, high)`; `(0, 0, 1)` when
-/// nothing was sampled.
-pub fn wilson(s: u64, n: u64, z: f64) -> (f64, f64, f64) {
-    if n == 0 {
-        return (0.0, 0.0, 1.0);
-    }
-    let nf = n as f64;
-    let p = s as f64 / nf;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / nf;
-    let center = (p + z2 / (2.0 * nf)) / denom;
-    let half = (z / denom) * (p * (1.0 - p) / nf + z2 / (4.0 * nf * nf)).sqrt();
-    // The bounds are exact at the extremes; snapping them hides the
-    // ±1 ulp the center−half cancellation would otherwise leak.
-    let low = if s == 0 {
-        0.0
-    } else {
-        (center - half).max(0.0)
-    };
-    let high = if s == n {
-        1.0
-    } else {
-        (center + half).min(1.0)
-    };
-    (p, low, high)
-}
-
-/// The critical value of the standard 95% interval.
-pub const Z95: f64 = 1.959_963_984_540_054;
+pub use gf2poly::Z95;
 
 /// Fixed-point scale of the extrapolated counts: millionths.
 const MICRO: u64 = 1_000_000;
@@ -563,23 +532,6 @@ mod tests {
             let sig = gf2poly::factor(g.to_poly()).signature().to_string();
             assert_eq!(sig, "{1,12}");
         }
-    }
-
-    #[test]
-    fn wilson_interval_is_sane() {
-        assert_eq!(wilson(0, 0, Z95), (0.0, 0.0, 1.0));
-        let (p, lo, hi) = wilson(0, 100, Z95);
-        assert_eq!(p, 0.0);
-        assert_eq!(lo, 0.0);
-        assert!(hi > 0.0 && hi < 0.05);
-        let (p, lo, hi) = wilson(100, 100, Z95);
-        assert_eq!(p, 1.0);
-        assert!(lo > 0.95 && hi == 1.0);
-        let (p, lo, hi) = wilson(10, 100, Z95);
-        assert!(lo < p && p < hi, "{lo} < {p} < {hi}");
-        // Wider z widens the interval.
-        let (_, lo3, hi3) = wilson(10, 100, 3.0);
-        assert!(lo3 < lo && hi3 > hi);
     }
 
     #[test]

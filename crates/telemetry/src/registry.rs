@@ -25,7 +25,7 @@ pub enum Metric {
 }
 
 /// A collection of metrics addressed by hierarchical dot-separated names
-/// (`survey.funnel.hd_pass`, `sim.lane.0.frames`).
+/// (`survey.funnel.hd_pass`, `sim.path.delta_frames`).
 ///
 /// Registration is get-or-create: asking twice for the same name returns
 /// the same underlying metric. Names are kept in a `BTreeMap`, so every
