@@ -17,7 +17,7 @@ fn bench_engines(c: &mut Criterion) {
         catalog::CRC32_ISCSI,
         catalog::CRC32_MEF,
         catalog::CRC32_BZIP2, // unreflected path
-        catalog::CRC32_XFER,  // sparse generator: Chorba's best case
+        catalog::CRC32_XFER,  // sparse generator
         catalog::CRC64_XZ,
         catalog::CRC64_GO_ISO, // sparse 64-bit generator
         catalog::CRC16_ARC,

@@ -6,8 +6,8 @@
 //!
 //! * **`weights234` at the Ethernet MTU** (32-bit generators): the
 //!   scratch sweep vs each wide-width workspace kernel — the ForceHash
-//!   oracle, the two-level index (the `Auto` workspace mode at 32
-//!   bits), and the bitsliced+CLMUL block kernels — plus two staged
+//!   oracle and the two-level index (the `Auto` workspace mode at 32
+//!   bits) — plus two staged
 //!   rows: `profile_hinted` times *only* the weights stage after a
 //!   profile primed the memo on the same workspace (the marginal cost
 //!   the survey's stage order actually pays, provably ≤ the cold
@@ -94,7 +94,6 @@ fn main() {
     for (mode, policy) in [
         ("hash_workspace", IndexPolicy::ForceHash),
         ("two_level", IndexPolicy::Auto),
-        ("bitsliced", IndexPolicy::Bitsliced),
     ] {
         let t = measure(reps, || {
             let mut ws = SyndromeWorkspace::with_policy(policy);

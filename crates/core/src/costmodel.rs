@@ -67,39 +67,21 @@ pub fn mtu_cost_model() -> MtuCostModel {
     }
 }
 
-/// Implementation cost of one generator across engine tiers — the third
-/// axis of a survey's Pareto selection (the paper's hardware criterion for
-/// preferring `0x90022004`/`0x80108400`, extended with Chorba's tableless
-/// observation that sparse generators run at slicing-class speed with no
-/// tables).
+/// Implementation cost of one generator — the third axis of a survey's
+/// Pareto selection (the paper's hardware criterion for preferring
+/// `0x90022004`/`0x80108400`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineCost {
-    /// Feedback taps: nonzero coefficients below `x^width`. This is
-    /// simultaneously the XOR-gate count of the serial LFSR *and* the
-    /// XORs per message word on the Chorba tableless tier (each word is
-    /// folded into one word-aligned position per tap), so lower means
-    /// both cheaper hardware and faster tableless software.
+    /// Feedback taps: nonzero coefficients below `x^width` — the
+    /// XOR-gate count of the serial LFSR, so lower means cheaper
+    /// hardware.
     pub taps: u32,
-    /// Pending-carry working set of the Chorba tier in bytes (`width`
-    /// 64-bit words) — the whole cache footprint of a tableless engine,
-    /// vs 16–32 KiB of slicing tables.
-    pub chorba_ring_bytes: u32,
-}
-
-impl EngineCost {
-    /// True when the generator is sparse enough for the tableless tier to
-    /// be competitive with byte-at-a-time table lookup: fewer XORs per
-    /// 8-byte word than the 8 lookups a bytewise engine spends on it.
-    pub fn tableless_friendly(&self) -> bool {
-        self.taps < 8
-    }
 }
 
 /// Evaluates the engine-cost model for one generator.
 pub fn engine_cost(g: &GenPoly) -> EngineCost {
     EngineCost {
         taps: g.normal().count_ones(),
-        chorba_ring_bytes: g.width() * 8,
     }
 }
 
@@ -114,9 +96,6 @@ mod tests {
         // 802.3 has 14 taps; the paper's low-tap pick (5 terms) has 4.
         assert_eq!(dense.taps, 14);
         assert_eq!(sparse.taps, 4);
-        assert!(!dense.tableless_friendly());
-        assert!(sparse.tableless_friendly());
-        assert_eq!(sparse.chorba_ring_bytes, 256);
         // taps + the implicit x^width term is the full weight.
         let g = GenPoly::from_koopman(32, 0xBA0DC66B).unwrap();
         assert_eq!(engine_cost(&g).taps + 1, g.weight());

@@ -77,14 +77,10 @@
 //!   differential oracle. Sorted-array merge kernels were evaluated and
 //!   rejected: XOR targets do not preserve sort order, so merges
 //!   degenerate into recursive splits that lose to a single probe.
-//! * **Bitsliced block extension** — under
-//!   [`workspace::IndexPolicy::Bitsliced`] the syndrome table grows 64
-//!   positions at a time from bit-plane basis rows selected by a block
-//!   anchor, with anchors advanced by one carryless multiply
-//!   (`pclmulqdq` when the CPU has it, soft multiply otherwise —
-//!   [`gf2x`]) per block instead of 64 dependent shift/XOR steps, and
-//!   the pair sweep runs in mask-then-resolve batches over 64-position
-//!   blocks ([`bitslice`]). Output is bit-identical to serial stepping.
+//!   An opt-in bitsliced policy (block syndrome extension plus a batch
+//!   pair sweep) was measured against the two-level index in the full
+//!   filter → profile → weights pipeline and lost or tied at widths 18,
+//!   24 and 32, so it was removed (figures in the [`workspace`] docs).
 //! * **Persistent MITM subset maps** — weight ≥ 5 searches keep their
 //!   meet-in-the-middle a-subset multimaps on the workspace, extended
 //!   incrementally across the `hd_filter → HdProfile → weights234`

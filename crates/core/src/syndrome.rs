@@ -56,16 +56,6 @@ impl SyndromeSeq {
         self.state
     }
 
-    /// Re-seats the generator at an externally-computed `value` — the
-    /// table's last entry after a bulk block extension
-    /// ([`crate::bitslice`]) grew it without stepping this generator.
-    /// Restores the [`SyndromeSeq::extend_table`] invariant so serial
-    /// and block growth interleave freely.
-    #[inline]
-    pub fn resync(&mut self, value: u64) {
-        self.state = value;
-    }
-
     /// Grows `table` so that `table[k] = r(k)` exists for all `k ≤ upto`,
     /// stepping this generator forward as needed. Requires the invariant
     /// every incremental consumer maintains: `self.peek()` is the value at

@@ -68,12 +68,20 @@
 //! splits that lose to one hash probe). Rebinding to a new polynomial
 //! clears each index by *replaying* the positions it inserted
 //! (`O(indexed)`, not `O(2^width)`), so a campaign worker reuses one
-//! allocation across every candidate. The [`IndexPolicy::Bitsliced`]
-//! policy layers the [`crate::bitslice`] block kernels (bulk syndrome
-//! extension through CLMUL-advanced bit-plane blocks, batch pair-scans)
-//! on top of the two-level index.
+//! allocation across every candidate.
+//!
+//! An earlier opt-in policy layered the [`crate::bitslice`] block
+//! kernels on the two-level index: bulk syndrome extension through
+//! CLMUL-advanced bit-plane blocks and a batch (mask-then-resolve) pair
+//! sweep. Neither half paid in the survey pipeline (filter → profile →
+//! weights on one reused workspace, identical results asserted): median
+//! per-candidate cost at width 18 was 178.5 µs two-level vs 196.7 µs
+//! with both halves, 6.0 vs 6.3 ms at width 24, and 156 vs 152 ms with
+//! overlapping run ranges at width 32. It won only the cold MTU
+//! `weights234` micro-row, which the pipeline never pays (its profile
+//! certifies most of that sweep clean first), so it was removed; the
+//! block kernels live on in [`crate::distribution`].
 
-use crate::bitslice::PlaneState;
 use crate::dmin::{dmin2, mitm_scan_with, MitmState};
 use crate::filter::FilterVerdict;
 use crate::genpoly::GenPoly;
@@ -135,14 +143,6 @@ pub enum IndexPolicy {
     /// Always use the [`PosMap`] hash path — the sparse-probe fallback,
     /// forced (used by differential tests and before/after benches).
     ForceHash,
-    /// Force the two-level index at any width ≤ [`TWO_LEVEL_MAX_WIDTH`]
-    /// (hash beyond); exercises the wide kernels at narrow widths.
-    ForceTwoLevel,
-    /// Two-level index plus the [`crate::bitslice`] block kernels:
-    /// bulk syndrome extension through CLMUL-advanced bit-plane blocks
-    /// and the batch (mask-then-resolve) pair sweep. Falls back to hash
-    /// + serial beyond [`TWO_LEVEL_MAX_WIDTH`].
-    Bitsliced,
 }
 
 /// Which index flavor a binding ended up with.
@@ -230,11 +230,6 @@ pub struct SyndromeWorkspace {
     /// Two-level presence screen (see [`WIDE_SCREEN_BITS`]); allocated on
     /// first two-level binding, cleared by replay.
     wscreen: Vec<u64>,
-    /// Whether this binding runs the bitsliced block kernels.
-    bitsliced: bool,
-    /// Bit-plane block state for [`IndexPolicy::Bitsliced`] bindings
-    /// (basis + CLMUL modmul context); rebuilt per binding.
-    bs: Option<PlaneState>,
     /// Persistent MITM subset maps, one per memoized weight, extended
     /// incrementally across calls and reset (allocations kept) on
     /// rebind — see [`MitmState`].
@@ -273,8 +268,6 @@ impl SyndromeWorkspace {
             dir_shift: 0,
             rows: Vec::new(),
             wscreen: Vec::new(),
-            bitsliced: false,
-            bs: None,
             mitm: Vec::new(),
             rebinds: 0,
         }
@@ -312,20 +305,12 @@ impl SyndromeWorkspace {
         for state in self.mitm.iter_mut().flatten() {
             state.reset();
         }
-        self.bs = None;
         self.kind = match self.policy {
             IndexPolicy::ForceHash => IndexKind::Hash,
-            IndexPolicy::ForceTwoLevel | IndexPolicy::Bitsliced
-                if g.width() <= TWO_LEVEL_MAX_WIDTH =>
-            {
-                IndexKind::TwoLevel
-            }
-            IndexPolicy::ForceTwoLevel | IndexPolicy::Bitsliced => IndexKind::Hash,
             IndexPolicy::Auto if g.width() <= DIRECT_INDEX_MAX_WIDTH => IndexKind::Direct,
             IndexPolicy::Auto if g.width() <= TWO_LEVEL_MAX_WIDTH => IndexKind::TwoLevel,
             IndexPolicy::Auto => IndexKind::Hash,
         };
-        self.bitsliced = self.policy == IndexPolicy::Bitsliced && g.width() <= TWO_LEVEL_MAX_WIDTH;
         if self.kind == IndexKind::Direct {
             let need = 1usize << g.width();
             if self.direct.len() < need {
@@ -552,21 +537,10 @@ impl SyndromeWorkspace {
     }
 
     fn ensure_syndromes(&mut self, upto: u32) {
-        let seq = self.seq.as_mut().expect("workspace is bound");
-        if self.bitsliced && upto as usize >= crate::bitslice::BASIS_PREFIX {
-            // Bulk path: serial prefix for the plane basis, then whole
-            // 64-position blocks whose anchors advance by one CLMUL
-            // modmul each (values bit-identical to serial stepping; the
-            // table may overshoot `upto` by up to 63 positions, which
-            // every consumer's explicit bounds make safe).
-            seq.extend_table(&mut self.syn, crate::bitslice::BASIS_PREFIX - 1);
-            let g = self.g.as_ref().expect("workspace is bound");
-            let bs = self.bs.get_or_insert_with(|| PlaneState::new(g, &self.syn));
-            bs.extend(&mut self.syn, upto as usize);
-            seq.resync(*self.syn.last().expect("table is seeded"));
-            return;
-        }
-        seq.extend_table(&mut self.syn, upto as usize);
+        self.seq
+            .as_mut()
+            .expect("workspace is bound")
+            .extend_table(&mut self.syn, upto as usize);
     }
 
     /// Extends the index to cover positions `1..=upto` (syndromes must
@@ -967,11 +941,7 @@ impl SyndromeWorkspace {
                     // build the whole index once (no trailing) and run
                     // the screen-first kernel.
                     self.ensure_indexed(codeword_len - 2);
-                    if self.bitsliced {
-                        self.sweep_w34_bitsliced(codeword_len, zb3, zb4)
-                    } else {
-                        self.sweep_w34_twolevel(codeword_len, zb3, zb4)
-                    }
+                    self.sweep_w34_twolevel(codeword_len, zb3, zb4)
                 }
                 IndexKind::Hash => self.sweep_w34_hash(codeword_len, zb3, zb4),
             };
@@ -1205,67 +1175,6 @@ impl SyndromeWorkspace {
         }
         out
     }
-
-    /// The batch (mask-then-resolve) variant of the two-level sweep for
-    /// [`IndexPolicy::Bitsliced`] bindings: pass 1 runs the presence
-    /// screen over 64-position blocks branch-free, packing survivors
-    /// into a lane mask; pass 2 resolves only the set lanes against the
-    /// directory. Separating the always-run screen from the almost-never
-    /// -run resolve keeps the hot pass free of unpredictable branches
-    /// (the screen's ~5% hit rate is poison for a fused loop's branch
-    /// predictor) and pairs with the block-extended syndrome table from
-    /// [`crate::bitslice`].
-    fn sweep_w34_bitsliced(&self, codeword_len: u32, zb3: u32, zb4: u32) -> Sweep {
-        let syn = &self.syn[..];
-        let screen = &self.wscreen[..1 << (WIDE_SCREEN_BITS - 6)];
-        let dir = &self.dir[..1usize << self.dir_bits];
-        let rows = &self.rows[..];
-        let shift = self.dir_shift;
-        let l = codeword_len as u64;
-        let mut out = Sweep::default();
-        let t_start = zb3.min(zb4).max(2);
-        for t in t_start..codeword_len {
-            let target = 1 ^ syn[t as usize];
-            let shifts = (l - t as u64) as u128;
-            if t >= zb3 {
-                let p = twolevel_pos(syn, screen, dir, shift, rows, target);
-                if p != 0 && p < t {
-                    out.w3 += shifts;
-                    if out.first3 == 0 {
-                        out.first3 = t;
-                    }
-                }
-            }
-            if t >= zb4 {
-                let mut pairs = 0u64;
-                let row = &syn[1..t as usize];
-                let mut base = 0usize;
-                while base < row.len() {
-                    let lanes = (row.len() - base).min(64);
-                    let mut mask = 0u64;
-                    for (lane, &s) in row[base..base + lanes].iter().enumerate() {
-                        let low = (target ^ s) as usize & ((1 << WIDE_SCREEN_BITS) - 1);
-                        mask |= ((screen[low >> 6] >> (low & 63)) & 1) << lane;
-                    }
-                    while mask != 0 {
-                        let lane = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let v = target ^ row[base + lane];
-                        let i = (base + lane + 1) as u32;
-                        pairs += twolevel_pair_hit(syn, dir, shift, rows, v, i, t) as u64;
-                    }
-                    base += lanes;
-                }
-                if pairs != 0 {
-                    out.w4 += pairs as u128 * shifts;
-                    if out.first4 == 0 {
-                        out.first4 = t;
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// The direct-index weights sweep, specialized to the `u16` value/
@@ -1384,9 +1293,10 @@ mod tests {
     fn stat_accessors_track_index_population() {
         let g = g32(0x82608EDB);
 
-        // Two-level binding: positions land in the directory, collisions
-        // spill to rows; the spill accessors expose that split.
-        let mut two = SyndromeWorkspace::with_policy(IndexPolicy::ForceTwoLevel);
+        // Two-level binding (Auto at width 32): positions land in the
+        // directory, collisions spill to rows; the spill accessors expose
+        // that split.
+        let mut two = SyndromeWorkspace::new();
         two.dmin(&g, 4, 5000).unwrap();
         assert_eq!(two.index_kind(), IndexKind::TwoLevel);
         assert!(two.positions_indexed() > 0);

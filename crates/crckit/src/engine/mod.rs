@@ -1,6 +1,6 @@
 //! The pluggable multi-tier CRC engine.
 //!
-//! One [`Crc`] value owns everything needed to run any of five engine
+//! One [`Crc`] value owns everything needed to run any of four engine
 //! tiers over the same parameter set:
 //!
 //! | [`EngineKind`] | technique                              | use case |
@@ -8,7 +8,6 @@
 //! | `Bitwise`      | shift register, one bit at a time      | reference / cross-validation |
 //! | `Bytewise`     | 256-entry table                        | tiny code+data footprint |
 //! | `Slice16`      | slicing-by-16, 32 KiB of tables        | software fast path |
-//! | `Chorba`       | tableless spread-generator shift-XOR   | table-cache-hostile workloads |
 //! | `Clmul`        | carryless-multiply folding (PCLMULQDQ / PMULL) | bulk throughput |
 //!
 //! [`Crc::new`] picks the fastest tier the host supports (runtime CPU
@@ -26,7 +25,6 @@ use crate::Result;
 use std::fmt;
 use std::str::FromStr;
 
-mod chorba;
 mod clmul;
 mod fold;
 
@@ -39,11 +37,6 @@ pub enum EngineKind {
     Bytewise,
     /// Slicing-by-16: sixteen tables, 16 input bytes per step.
     Slice16,
-    /// Chorba-style tableless engine: the generator is spread by repeated
-    /// squaring until its leading gap clears a 64-bit word, then messages
-    /// reduce by shift-XORing each word forward along the sparse terms —
-    /// no tables, no multiplier, no cache footprint.
-    Chorba,
     /// Carryless-multiply folding (x86_64 `pclmulqdq`, aarch64 `pmull`),
     /// with a bit-identical portable software fallback when the CPU lacks
     /// the instruction.
@@ -52,11 +45,10 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Every engine kind, for iteration in tests and benches.
-    pub const ALL: [EngineKind; 5] = [
+    pub const ALL: [EngineKind; 4] = [
         EngineKind::Bitwise,
         EngineKind::Bytewise,
         EngineKind::Slice16,
-        EngineKind::Chorba,
         EngineKind::Clmul,
     ];
 
@@ -67,7 +59,6 @@ impl EngineKind {
             EngineKind::Bitwise => "bitwise",
             EngineKind::Bytewise => "bytewise",
             EngineKind::Slice16 => "slice16",
-            EngineKind::Chorba => "chorba",
             EngineKind::Clmul => "clmul",
         }
     }
@@ -135,8 +126,6 @@ pub struct Crc {
     tables: Box<[[u64; 256]; 16]>,
     /// Folding constants for the CLMUL tier, derived from `x^k mod G`.
     fold: fold::FoldTable,
-    /// Spread-generator plan for the Chorba tier.
-    chorba: chorba::ChorbaPlan,
     /// The tier [`Crc::checksum`] and [`crate::Digest`] run on.
     kind: EngineKind,
 }
@@ -164,8 +153,7 @@ impl Crc {
     }
 
     /// Builds an engine pinned to a specific tier (the auto-selection of
-    /// [`Crc::new`] skipped) — for benchmarking, cross-validation, or
-    /// forcing the tableless tier on table-cache-hostile workloads.
+    /// [`Crc::new`] skipped) — for benchmarking and cross-validation.
     ///
     /// # Errors
     ///
@@ -217,7 +205,6 @@ impl Crc {
             params,
             tables,
             fold: fold::FoldTable::derive(&params),
-            chorba: chorba::ChorbaPlan::derive(&params),
             kind,
         })
     }
@@ -329,7 +316,6 @@ impl Crc {
                 state
             }
             EngineKind::Slice16 => self.update_slice16_raw(state, bytes),
-            EngineKind::Chorba => chorba::update(self, &self.chorba, state, bytes),
             EngineKind::Clmul => clmul::update(self, &self.fold, state, bytes),
         }
     }
@@ -608,8 +594,8 @@ mod tests {
 
     #[test]
     fn pinned_engine_is_reported() {
-        let crc = Crc::try_with_engine(crate::catalog::CRC32_ISCSI, EngineKind::Chorba).unwrap();
-        assert_eq!(crc.engine(), EngineKind::Chorba);
+        let crc = Crc::try_with_engine(crate::catalog::CRC32_ISCSI, EngineKind::Slice16).unwrap();
+        assert_eq!(crc.engine(), EngineKind::Slice16);
         assert_eq!(crc.checksum(b"123456789"), 0xE306_9283);
     }
 

@@ -23,7 +23,7 @@
 //! # Engine tiers
 //!
 //! [`Crc::new`] detects the host CPU at construction and selects the
-//! fastest of five interchangeable engine tiers ([`EngineKind`]); every
+//! fastest of four interchangeable engine tiers ([`EngineKind`]); every
 //! tier is bit-identical on every parameter set, enforced by the §4.5
 //! differential test suite. [`Crc::checksum_with`] pins a tier
 //! explicitly; `CRCKIT_FORCE_ENGINE=<name>` in the environment overrides
@@ -35,22 +35,17 @@
 //! | [`EngineKind::Bitwise`]  | shift register, 1 bit/step | none | 0.08 |
 //! | [`EngineKind::Bytewise`] | 256-entry table | 2 KiB | 0.33 |
 //! | [`EngineKind::Slice16`]  | slicing-by-16 | 32 KiB | 1.7 |
-//! | [`EngineKind::Chorba`]   | tableless spread-generator XOR | ≤ 0.5 KiB | 0.7–1.8 |
 //! | [`EngineKind::Clmul`]    | PCLMULQDQ/PMULL folding | 64 B of keys | 10–21 |
 //!
-//! \* CRC-32/ISO-HDLC (Chorba range: dense 802.3 → sparse generators) on
-//! 64 KiB buffers, one Skylake-class x86_64 core; regenerate with
-//! `cargo run --release -p crc-experiments --bin crc_throughput`, which
-//! also writes the machine-readable `BENCH_crc_throughput.json`.
+//! \* CRC-32/ISO-HDLC on 64 KiB buffers, one Skylake-class x86_64 core;
+//! regenerate with `cargo run --release -p crc-experiments --bin
+//! crc_throughput`, which also writes the machine-readable `BENCH_crc_throughput.json`.
 //!
 //! The CLMUL tier derives its folding constants (`x^k mod G`) from
 //! `gf2poly` at construction, so *every* catalog polynomial — not just
 //! the CRC32 variants production libraries hardcode — gets hardware
 //! folding; on CPUs without carryless multiply it transparently runs a
-//! bit-identical portable software multiply. The Chorba tier generalizes
-//! Russell's tableless CRC32 construction to any generator by spreading
-//! the polynomial with repeated squaring until every term offset is
-//! word-aligned.
+//! bit-identical portable software multiply.
 
 // Unsafe is denied crate-wide and re-allowed in exactly one place: the
 // CPU-intrinsic kernels of `engine::clmul`, which are differentially

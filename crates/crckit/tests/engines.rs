@@ -15,8 +15,8 @@ fn payload(len: usize, seed: u64) -> Vec<u8> {
 
 #[test]
 fn every_engine_matches_bitwise_on_every_catalog_entry() {
-    // 600 bytes crosses the Chorba window for every width and several
-    // CLMUL block strides.
+    // 600 bytes crosses several CLMUL block strides and the slicing
+    // tiers' 16-byte chunking with a remainder.
     let data = payload(600, 1);
     for params in catalog::ALL {
         let crc = Crc::new(params);
@@ -108,9 +108,8 @@ fn length_sweep_across_engine_thresholds() {
 
 #[test]
 fn long_buffers_hit_the_bulk_paths() {
-    // Long enough that CLMUL runs its 4-accumulator loop many times and
-    // Chorba crosses its carry window repeatedly; lengths ±1 around
-    // 64-byte multiples catch block-boundary bugs.
+    // Long enough that CLMUL runs its 4-accumulator loop many times;
+    // lengths ±1 around 64-byte multiples catch block-boundary bugs.
     for params in [
         catalog::CRC32_ISO_HDLC,
         catalog::CRC32_BZIP2,
@@ -125,7 +124,7 @@ fn long_buffers_hit_the_bulk_paths() {
         for len in [1535, 4096, 4097, 16_383, 65_536] {
             let data = payload(len, len as u64);
             let reference = crc.checksum_bitwise(&data);
-            for kind in [EngineKind::Slice16, EngineKind::Chorba, EngineKind::Clmul] {
+            for kind in [EngineKind::Slice16, EngineKind::Clmul] {
                 assert_eq!(
                     crc.checksum_with(kind, &data),
                     reference,
@@ -173,9 +172,24 @@ fn forced_engine_env_var_is_honored() {
     // Spawn a child with CRCKIT_FORCE_ENGINE set: selection must follow
     // it (process-global env mutation from within a test is unsafe, so a
     // child process keeps this hermetic). The child is this same test
-    // binary running the hidden `forced_engine_child` check.
+    // binary running the hidden `forced_engine_child` check. An unknown
+    // name (such as the removed `chorba` tier) is ignored, so selection
+    // falls back to the auto tier.
+    assert_eq!(
+        "chorba".parse::<EngineKind>(),
+        Err(crckit::Error::UnknownEngine)
+    );
+    let auto = if EngineKind::Clmul.is_hardware_accelerated() {
+        EngineKind::Clmul
+    } else {
+        EngineKind::Slice16
+    };
     let exe = std::env::current_exe().expect("test binary path");
-    for force in ["chorba", "SLICE16", "bytewise"] {
+    for (force, expect) in [
+        ("chorba", auto),
+        ("SLICE16", EngineKind::Slice16),
+        ("bytewise", EngineKind::Bytewise),
+    ] {
         let out = std::process::Command::new(&exe)
             .args([
                 "forced_engine_child",
@@ -184,7 +198,7 @@ fn forced_engine_env_var_is_honored() {
                 "--include-ignored",
             ])
             .env("CRCKIT_FORCE_ENGINE", force)
-            .env("CRCKIT_EXPECT_ENGINE", force.to_lowercase())
+            .env("CRCKIT_EXPECT_ENGINE", expect.name())
             .output()
             .expect("spawn child test");
         assert!(

@@ -22,9 +22,9 @@ impl FrameCodec {
         }
     }
 
-    /// Builds a codec pinned to a specific engine tier (e.g. the
-    /// tableless [`EngineKind::Chorba`] when the surrounding workload
-    /// needs the cache the slicing tables would occupy).
+    /// Builds a codec pinned to a specific engine tier (e.g.
+    /// [`EngineKind::Slice16`] to compare against the auto-selected
+    /// tier, or the bitwise reference for cross-validation).
     ///
     /// # Panics
     ///
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn pinned_engine_codec_round_trips() {
-        for kind in [crckit::EngineKind::Chorba, crckit::EngineKind::Clmul] {
+        for kind in [crckit::EngineKind::Slice16, crckit::EngineKind::Clmul] {
             let codec = FrameCodec::with_engine(catalog::CRC32_ISCSI, kind);
             assert_eq!(codec.engine(), kind);
             let frame = codec.encode(&vec![0x5A; 2000]);

@@ -25,13 +25,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     digest.update(b"456789");
     assert_eq!(digest.finalize(), crc32c.checksum(b"123456789"));
 
-    // Every tier is bit-identical; pin one explicitly to trade speed for
-    // footprint (Chorba runs tableless), or batch frames together.
+    // Every tier is bit-identical; pin one explicitly (slicing-by-16 is
+    // the portable software tier), or batch frames together.
     let frames: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 1514]).collect();
     let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
     let digests = crc32c.checksum_batch(&refs);
     for (frame, digest) in refs.iter().zip(&digests) {
-        assert_eq!(*digest, crc32c.checksum_with(EngineKind::Chorba, frame));
+        assert_eq!(*digest, crc32c.checksum_with(EngineKind::Slice16, frame));
     }
 
     // --- 2. Looking inside a generator polynomial ------------------------
