@@ -127,16 +127,29 @@ fn main() {
     );
 
     // ---- E8: inverse filtering / breakpoint localization ---------------
-    println!("\n[E8] breakpoint search (doubling + bisection over early-out filters)");
-    for (k, hd, expect) in [(0x82608EDBu64, 5u32, 2_974u32), (0xBA0DC66B, 6, 16_360)] {
+    println!(
+        "\n[E8] breakpoint search (doubling + bisection over early-out filters) vs exact \
+         incremental d_min(4)"
+    );
+    for (k, hd, expect, cap) in [
+        (0x82608EDBu64, 5u32, 2_974u32, 65_536u32),
+        (0xBA0DC66B, 6, 16_360, 20_000),
+    ] {
         let g = poly(k);
         let t0 = Instant::now();
         let (len, evals) = breakpoint_search(&g, hd, 131_072).expect("search");
+        let search_t = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        let d4 = crc_hd::dmin::dmin(&g, 4, cap).expect("d_min(4)");
+        let dmin_t = t0.elapsed().as_secs_f64();
         println!(
-            "  0x{k:08X}: HD={hd} holds to {len} bits ({evals} evaluations, {:.2}s) — paper: {expect}",
-            t0.elapsed().as_secs_f64()
+            "  0x{k:08X}: HD={hd} holds to {len} bits ({evals} evaluations, {search_t:.2}s) — \
+             paper: {expect}; exact d_min(4) = {d4:?} in {dmin_t:.2}s"
         );
         assert_eq!(len, expect);
+        // Both bounds end where a weight-4 multiple of degree d_min(4)
+        // first fits in the data plus 32 check bits.
+        assert_eq!(d4, Some(len + 32));
     }
 
     // ---- E9: overall filter throughput ---------------------------------

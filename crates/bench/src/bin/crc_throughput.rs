@@ -48,13 +48,14 @@ fn main() {
     let reps: usize = arg_or("--reps", 7);
     let out_path: String = arg_or("--out", "BENCH_crc_throughput.json".to_string());
 
-    let algorithms: [CrcParams; 6] = [
+    let algorithms: [CrcParams; 7] = [
         catalog::CRC32_ISO_HDLC,
         catalog::CRC32_ISCSI,
         catalog::CRC32_BZIP2,
         catalog::CRC32_XFER,
         catalog::CRC64_XZ,
         catalog::CRC64_GO_ISO,
+        catalog::CRC16_ARC, // the one narrow width
     ];
     let sizes = [1514usize, 65_536];
 

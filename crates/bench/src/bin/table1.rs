@@ -10,6 +10,7 @@
 use crc_experiments::{arg_or, poly, PAPER_POLYS, TABLE1_ANCHORS};
 use crc_hd::profile::HdProfile;
 use crc_hd::report::TextTable;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 fn main() {
@@ -30,30 +31,35 @@ fn main() {
     // the experiments run on has two cores).
     let t0 = Instant::now();
     let profiles: Vec<(u64, String, HdProfile)> = {
-        let results = parking_lot::Mutex::new(Vec::new());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some((k, label)) = polys.get(i) else {
-                        return;
-                    };
-                    let t = Instant::now();
-                    let p = HdProfile::compute(&poly(*k), max_len).expect("profile within budget");
-                    eprintln!(
-                        "  computed 0x{k:08X} in {:.2}s (order {})",
-                        t.elapsed().as_secs_f64(),
-                        p.order()
-                    );
-                    results.lock().push((*k, label.clone(), p));
-                });
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some((k, _)) = polys.get(i) else {
+                    return done;
+                };
+                let t = Instant::now();
+                let p = HdProfile::compute(&poly(*k), max_len).expect("profile within budget");
+                eprintln!(
+                    "  computed 0x{k:08X} in {:.2}s (order {})",
+                    t.elapsed().as_secs_f64(),
+                    p.order()
+                );
+                done.push((i, p));
             }
-        })
-        .expect("profile workers");
-        let mut v = results.into_inner();
-        v.sort_by_key(|&(k, _, _)| polys.iter().position(|&(p, _)| p == k));
-        v
+        };
+        let mut v: Vec<(usize, HdProfile)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("profile worker"))
+                .collect()
+        });
+        v.sort_by_key(|&(i, _)| i);
+        v.into_iter()
+            .map(|(i, p)| (polys[i].0, polys[i].1.clone(), p))
+            .collect()
     };
     eprintln!("total profile time: {:.2}s\n", t0.elapsed().as_secs_f64());
 

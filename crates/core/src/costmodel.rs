@@ -68,7 +68,7 @@ pub fn mtu_cost_model() -> MtuCostModel {
 }
 
 /// Implementation cost of one generator — the third axis of a survey's
-/// Pareto selection (the paper's hardware criterion for preferring
+/// Pareto selection (the paper's hardware grounds for preferring
 /// `0x90022004`/`0x80108400`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineCost {

@@ -1,14 +1,27 @@
 //! Polynomial-space search drivers: exhaustive scans (run in full at 8 and
 //! 16 bits, exactly the paper's §4.5 validation strategy) and the sampled
 //! factorization-class census that reproduces Table 2 at laptop scale.
+//!
+//! These are the screen-only drivers: each candidate runs through one HD
+//! filter and nothing else. The survey campaign (`crc-survey`) covers the
+//! same spaces but also profiles and weighs every survivor, which is why
+//! the `exhaustive_small` and `table2` experiments do not route through
+//! it. Measured with 2 threads: the 16-bit, HD ≥ 4 @ 1024 scan takes
+//! 0.20 s here and 3.8 s as a `survey run` (max weight 4), both finding
+//! the same 7,370 survivors; `table2` at 100 samples per class takes
+//! 9.6 s (16 CPU-s) here and 58 s (104 CPU-s) as a census over the same
+//! 8 classes, which also screens the 32 tap strata.
+//!
+//! Workers run on `std::thread::scope`, claim work from one atomic
+//! counter and return their partial results through their join handles,
+//! so results never depend on the thread count.
 
 use crate::filter::hd_filter_in;
 use crate::genpoly::GenPoly;
 use crate::workspace::SyndromeWorkspace;
 use crate::Result;
 use gf2poly::{factor, wilson, FactorClass, SplitMix64, Z95};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The full `width`-bit polynomial space in the paper's representation:
 /// Koopman-notation values with the top bit set (degree exactly `width`,
@@ -117,56 +130,57 @@ pub fn exhaustive_search(
     let lo = 1u64 << (width - 1);
     let total = space.total();
     let next = AtomicU64::new(0);
-    let hits: Mutex<Vec<Survivor>> = Mutex::new(Vec::new());
-    let error: Mutex<Option<crate::Error>> = Mutex::new(None);
-    let threads = threads.max(1);
+    // Set by a worker whose filter failed; it publishes nothing (the
+    // error travels through the join handle), so Relaxed suffices.
+    let stop = AtomicBool::new(false);
     const CHUNK: u64 = 256;
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                // One workspace per worker: rebinding keeps allocations.
-                let mut ws = SyndromeWorkspace::new();
-                loop {
-                    let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= total || error.lock().is_some() {
-                        return;
+    let worker = || {
+        // One workspace per worker: rebinding keeps allocations.
+        let mut ws = SyndromeWorkspace::new();
+        let mut hits = Vec::new();
+        loop {
+            let start = next.fetch_add(CHUNK, Ordering::Relaxed);
+            if start >= total || stop.load(Ordering::Relaxed) {
+                return Ok(hits);
+            }
+            for offset in start..(start + CHUNK).min(total) {
+                let g = GenPoly::from_koopman(width, lo + offset).expect("in range");
+                if g.koopman() > g.reciprocal().koopman() {
+                    continue; // non-canonical member of a reciprocal pair
+                }
+                match hd_filter_in(&mut ws, &g, data_len, target_hd) {
+                    Ok(v) if v.passed() => {
+                        let class = factor(g.to_poly()).signature().to_string();
+                        hits.push(Survivor { poly: g, class });
                     }
-                    let end = (start + CHUNK).min(total);
-                    let mut local = Vec::new();
-                    for offset in start..end {
-                        let k = lo + offset;
-                        let g = GenPoly::from_koopman(width, k).expect("in range");
-                        if g.koopman() > g.reciprocal().koopman() {
-                            continue; // non-canonical member of a reciprocal pair
-                        }
-                        match hd_filter_in(&mut ws, &g, data_len, target_hd) {
-                            Ok(v) if v.passed() => {
-                                let class = factor(g.to_poly()).signature().to_string();
-                                local.push(Survivor { poly: g, class });
-                            }
-                            Ok(_) => {}
-                            Err(e) => {
-                                *error.lock() = Some(e);
-                                return;
-                            }
-                        }
-                    }
-                    if !local.is_empty() {
-                        hits.lock().extend(local);
+                    Ok(_) => {}
+                    Err(e) => {
+                        stop.store(true, Ordering::Relaxed);
+                        return Err(e);
                     }
                 }
-            });
+            }
         }
-    })
-    .expect("worker threads do not panic");
+    };
 
-    if let Some(e) = error.into_inner() {
-        return Err(e);
+    let mut out = Vec::new();
+    for partial in run_workers(threads, worker) {
+        out.extend(partial?);
     }
-    let mut out = hits.into_inner();
     out.sort_by_key(|s| s.poly.koopman());
     Ok(out)
+}
+
+/// Runs `threads` (at least one) copies of `worker` on scoped threads and
+/// returns their results in spawn order.
+fn run_workers<T: Send>(threads: usize, worker: impl FnOnce() -> T + Copy + Send) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.max(1)).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("search worker"))
+            .collect()
+    })
 }
 
 /// Estimate of a factorization class's HD census by stratified sampling —
@@ -186,7 +200,9 @@ pub struct CensusEstimate {
     pub estimate: f64,
     /// 95% Wilson confidence interval on the census (lower, upper).
     pub ci95: (f64, f64),
-    /// Up to 8 example survivors, for spot verification.
+    /// The passing samples with the lowest sample indices, at most 8 of
+    /// them, for spot verification. Like every other field, independent
+    /// of the thread count.
     pub examples: Vec<GenPoly>,
 }
 
@@ -205,51 +221,53 @@ pub fn class_census(
     seed: u64,
     threads: usize,
 ) -> Result<CensusEstimate> {
+    const EXAMPLES: usize = 8;
     let next = AtomicU64::new(0);
-    let hits = AtomicU64::new(0);
-    let examples: Mutex<Vec<GenPoly>> = Mutex::new(Vec::new());
-    let error: Mutex<Option<crate::Error>> = Mutex::new(None);
-    let threads = threads.max(1);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let mut ws = SyndromeWorkspace::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= samples || error.lock().is_some() {
-                        return;
-                    }
-                    // Per-sample deterministic RNG: thread-schedule independent.
-                    let mut rng = SplitMix64::new(seed ^ (i.wrapping_mul(0xA076_1D64_78BD_642F)));
-                    let poly = class
-                        .sample(&mut rng)
-                        .expect("class degrees validated at construction");
-                    let g = GenPoly::from_poly(poly).expect("class members are valid generators");
-                    match hd_filter_in(&mut ws, &g, data_len, target_hd) {
-                        Ok(v) if v.passed() => {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                            let mut ex = examples.lock();
-                            if ex.len() < 8 {
-                                ex.push(g);
-                            }
-                        }
-                        Ok(_) => {}
-                        Err(e) => {
-                            *error.lock() = Some(e);
-                            return;
-                        }
+    // As in `exhaustive_search`: an early-stop flag that publishes nothing.
+    let stop = AtomicBool::new(false);
+    // Each worker returns its hit count and its first `EXAMPLES` hits with
+    // their sample indices; claimed indices only increase, so those are
+    // the worker's lowest-indexed hits.
+    let worker = || {
+        let mut ws = SyndromeWorkspace::new();
+        let mut hits = 0u64;
+        let mut examples = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= samples || stop.load(Ordering::Relaxed) {
+                return Ok((hits, examples));
+            }
+            // Per-sample deterministic RNG: thread-schedule independent.
+            let mut rng = SplitMix64::new(seed ^ (i.wrapping_mul(0xA076_1D64_78BD_642F)));
+            let poly = class
+                .sample(&mut rng)
+                .expect("class degrees validated at construction");
+            let g = GenPoly::from_poly(poly).expect("class members are valid generators");
+            match hd_filter_in(&mut ws, &g, data_len, target_hd) {
+                Ok(v) if v.passed() => {
+                    hits += 1;
+                    if examples.len() < EXAMPLES {
+                        examples.push((i, g));
                     }
                 }
-            });
+                Ok(_) => {}
+                Err(e) => {
+                    stop.store(true, Ordering::Relaxed);
+                    return Err(e);
+                }
+            }
         }
-    })
-    .expect("worker threads do not panic");
+    };
 
-    if let Some(e) = error.into_inner() {
-        return Err(e);
+    let mut hits = 0u64;
+    let mut examples = Vec::new();
+    for partial in run_workers(threads, worker) {
+        let (h, ex) = partial?;
+        hits += h;
+        examples.extend(ex);
     }
-    let hits = hits.into_inner();
+    examples.sort_by_key(|&(i, _)| i);
+    examples.truncate(EXAMPLES);
     let class_size = class.size();
     let (p_hat, lo, hi) = wilson(hits, samples, Z95);
     Ok(CensusEstimate {
@@ -259,7 +277,7 @@ pub fn class_census(
         hits,
         estimate: p_hat * class_size as f64,
         ci95: (lo * class_size as f64, hi * class_size as f64),
-        examples: examples.into_inner(),
+        examples: examples.into_iter().map(|(_, g)| g).collect(),
     })
 }
 
@@ -366,6 +384,7 @@ mod tests {
         let a = class_census(&class, 16, 4, 200, 42, 2).unwrap();
         let b = class_census(&class, 16, 4, 200, 42, 1).unwrap();
         assert_eq!(a.hits, b.hits, "thread count must not change results");
+        assert_eq!(a.examples, b.examples, "nor which examples are kept");
         assert!(a.hits <= a.samples);
         assert!(a.ci95.0 <= a.estimate && a.estimate <= a.ci95.1);
         assert!(a.examples.len() as u64 <= a.hits.min(8));

@@ -70,6 +70,12 @@
 //! (`O(indexed)`, not `O(2^width)`), so a campaign worker reuses one
 //! allocation across every candidate.
 //!
+//! The direct index earns its place at widths ≤ 16. A probe that forced
+//! the two-level index there gave byte-identical shard results, but the
+//! per-candidate cost rose from 20.6–23.2 µs to 25.6–29.9 µs on the
+//! perfbench `fleet_w16` configuration, and from 421 µs to
+//! 1,675–1,864 µs at 13 bits.
+//!
 //! An earlier opt-in policy layered the [`crate::bitslice`] block
 //! kernels on the two-level index: bulk syndrome extension through
 //! CLMUL-advanced bit-plane blocks and a batch (mask-then-resolve) pair

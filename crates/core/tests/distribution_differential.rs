@@ -101,7 +101,7 @@ fn budget_guard_refuses_infeasible_wide_lengths() {
 
 /// Release-only: every width ≤ 16 catalog generator against the
 /// exhaustive spectrum at *all* lengths the enumeration covers — the
-/// acceptance criterion verbatim.
+/// acceptance requirement verbatim.
 #[test]
 #[ignore = "exhaustive 2^30 enumerations; run by the distribution-equivalence release job"]
 fn small_catalog_matches_spectrum_at_all_enumerable_lengths() {

@@ -27,8 +27,8 @@
 //!
 //! # The sharded architecture
 //!
-//! A run of `trials` frames is split into fixed-size shards (default
-//! [`Simulator::DEFAULT_SHARD_FRAMES`] = 1024 frames; the tail shard may
+//! A run of `trials` frames is split into fixed-size shards of
+//! [`Simulator::DEFAULT_SHARD_FRAMES`] = 1024 frames (the tail shard may
 //! be short). Worker threads — one per core by default — claim shard
 //! indices from an atomic counter, so scheduling is dynamic, but the
 //! *work* inside shard `i` is a pure function of the configuration. Each
@@ -80,9 +80,9 @@
 //! CI's `sim-determinism` job runs
 //! `cargo run --release -p crc-experiments --bin sim_determinism -- --threads T --out out.json`
 //! at `T = 1`, `2` and `4` and requires the JSON files byte-identical.
-//! To reproduce any of its scenarios, build the same `Simulator` (the
-//! defaults — `DEFAULT_SHARD_FRAMES` and any thread count — match CI)
-//! with the seed printed in the JSON; per-shard streams derive from
+//! To reproduce any of its scenarios, build a `Simulator` at any thread
+//! count (shard and burst sizes are fixed constants) and run it with the
+//! seed printed in the JSON; per-shard streams derive from
 //! [`montecarlo::shard_seed`] as described above, so even a single shard
 //! can be replayed in isolation.
 //!

@@ -15,8 +15,8 @@
 //!
 //! # The sharded engine
 //!
-//! [`Simulator`] partitions a run into fixed-size **shards** (default
-//! [`Simulator::DEFAULT_SHARD_FRAMES`] frames). Shard `i` derives its
+//! [`Simulator`] partitions a run into fixed-size **shards** of
+//! [`Simulator::DEFAULT_SHARD_FRAMES`] frames. Shard `i` derives its
 //! plan, fill and [`Channel::fork`] seeds from
 //! [`shard_seed`]`(cfg.seed, i, stream)`, so the work inside a shard is a
 //! pure function of the configuration. Worker threads claim shard indices
@@ -244,8 +244,6 @@ impl ShardStreams {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     threads: usize,
-    batch: usize,
-    shard_frames: u64,
 }
 
 impl Default for Simulator {
@@ -255,20 +253,21 @@ impl Default for Simulator {
 }
 
 impl Simulator {
-    /// Frames per burst fed through `corrupt_batch`/`verify_batch`.
+    /// Frames per burst fed through `corrupt_batch`/`verify_batch`. Part
+    /// of the random-stream layout: a channel whose `corrupt_batch`
+    /// override carries a stream across frame boundaries (e.g.
+    /// [`crate::channel::BscChannel`]'s geometric skip) lays it out per
+    /// burst.
     pub const DEFAULT_BATCH: usize = 256;
     /// Frames per shard — the determinism unit. Small enough that modest
     /// runs still fan out across workers, large enough that per-shard
-    /// setup (channel fork, RNG init) is noise.
+    /// setup (channel fork, RNG init) is noise. Part of the random-stream
+    /// layout: every frame draws from its shard's streams.
     pub const DEFAULT_SHARD_FRAMES: u64 = 1024;
 
-    /// A simulator with default sharding that uses every available core.
+    /// A simulator that uses every available core.
     pub fn new() -> Simulator {
-        Simulator {
-            threads: 0,
-            batch: Self::DEFAULT_BATCH,
-            shard_frames: Self::DEFAULT_SHARD_FRAMES,
-        }
+        Simulator { threads: 0 }
     }
 
     /// Sets the worker thread count (0 = one per available core).
@@ -277,28 +276,6 @@ impl Simulator {
     /// claimed dynamically but their contents depend only on the seed.
     pub fn threads(mut self, threads: usize) -> Simulator {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the burst size (frames encoded/corrupted/verified together).
-    ///
-    /// Like [`Simulator::shard_frames`], this is part of the random-stream
-    /// layout for channels whose `corrupt_batch` override spans frame
-    /// boundaries (e.g. [`crate::channel::BscChannel`]): exact tallies are reproducible at
-    /// equal `batch`; the distribution is identical at any `batch`.
-    pub fn batch(mut self, batch: usize) -> Simulator {
-        assert!(batch >= 1, "batch must be at least 1");
-        self.batch = batch;
-        self
-    }
-
-    /// Sets the shard size in frames.
-    ///
-    /// Changing this changes which RNG stream each frame draws from, so
-    /// runs are only comparable bit-for-bit at equal `shard_frames`.
-    pub fn shard_frames(mut self, shard_frames: u64) -> Simulator {
-        assert!(shard_frames >= 1, "shard_frames must be at least 1");
-        self.shard_frames = shard_frames;
         self
     }
 
@@ -316,13 +293,9 @@ impl Simulator {
     }
 
     /// Pushes random frames through forks of `channel`, tallying CRC
-    /// verdicts. Deterministic for a given `(cfg, shard_frames)`
-    /// regardless of `threads`. Exact tallies are also reproducible at
-    /// equal `batch`; a channel whose `corrupt_batch` override carries a
-    /// random stream across frame boundaries (e.g.
-    /// [`crate::channel::BscChannel`]'s geometric skip) lays that stream
-    /// out per burst, so a *different* batch size can regroup it — same
-    /// distribution, different draws.
+    /// verdicts. Deterministic for a given `cfg` regardless of
+    /// `threads`: shard and burst sizes are the fixed
+    /// [`Simulator::DEFAULT_SHARD_FRAMES`] and [`Simulator::DEFAULT_BATCH`].
     ///
     /// For [`Channel::content_independent`] channels the engine runs the
     /// **delta path**: the burst is corrupted as all-zero delta frames
@@ -373,9 +346,9 @@ impl Simulator {
         GP: Fn() -> FP + Sync,
         FP: FnMut(&mut rand::rngs::StdRng) -> (usize, usize),
     {
-        let shard_frames = self.shard_frames;
+        let shard_frames = Self::DEFAULT_SHARD_FRAMES;
         let shards = trials.div_ceil(shard_frames);
-        let batch = self.batch;
+        let batch = Self::DEFAULT_BATCH;
         let delta = channel.content_independent();
         let pm = path_metrics();
         let next = AtomicU64::new(0);
@@ -427,14 +400,13 @@ impl Simulator {
         if workers <= 1 {
             return worker();
         }
-        let partials: Vec<S> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(|_| worker())).collect();
+        let partials: Vec<S> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("simulator worker"))
                 .collect()
-        })
-        .expect("simulator scope");
+        });
         let mut acc = S::default();
         for partial in partials {
             acc.merge_from(partial);
@@ -896,25 +868,6 @@ mod tests {
         };
         let ch = MisflaggedChannel(JammerChannel::hdlc(1.0));
         let _ = Simulator::new().run(&codec, &ch, &cfg);
-    }
-
-    #[test]
-    fn stats_are_invariant_under_batch_size() {
-        // For channels on the default per-frame corrupt_batch path (like
-        // Gilbert–Elliott), batch size only groups work and must not
-        // change the per-shard corruption sequence. (BscChannel's
-        // cross-frame override is exempt: its gap stream is laid out per
-        // burst, so it is reproducible at equal batch only.)
-        let codec = FrameCodec::new(catalog::CRC32_ISCSI);
-        let cfg = TrialConfig {
-            payload_len: 128,
-            trials: 3_000,
-            seed: 99,
-        };
-        let ch = GilbertElliottChannel::new(1e-3, 1e-2, 0.0, 0.05);
-        let small = Simulator::new().batch(7).run(&codec, &ch, &cfg);
-        let large = Simulator::new().batch(512).run(&codec, &ch, &cfg);
-        assert_eq!(small, large);
     }
 
     #[test]

@@ -34,10 +34,10 @@ use crate::campaign::{
 use crate::json::Json;
 use crate::{Error, Result};
 use gf2poly::SplitMix64;
-use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// A campaign bound to its on-disk directory.
@@ -166,6 +166,11 @@ impl Campaign {
         let threads = threads.max(1).min(pending.len());
         let next = AtomicUsize::new(0);
         let allowance = AtomicU64::new(stop_after.unwrap_or(u64::MAX));
+        // A lock is poisoned only when a worker panicked holding it; the
+        // scope re-raises that panic, so these never fire on their own.
+        const ERROR_SLOT: &str = "no worker panics holding the error slot";
+        const SUMMARY: &str = "no worker panics holding the run summary";
+        const CHECKPOINT: &str = "no worker panics holding the checkpoint lock";
         let summary = Mutex::new(RunSummary::default());
         let error: Mutex<Option<Error>> = Mutex::new(None);
         // The checkpoint is shared mutable state: workers serialize the
@@ -174,9 +179,9 @@ impl Campaign {
         let dir = self.dir.as_path();
         let t0 = Instant::now();
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut scratch = UnitScratch::default();
                     loop {
                         // Claim one unit of allowance, then one unit.
@@ -189,7 +194,7 @@ impl Campaign {
                             return;
                         }
                         let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= pending.len() || error.lock().is_some() {
+                        if idx >= pending.len() || error.lock().expect(ERROR_SLOT).is_some() {
                             return;
                         }
                         let unit = pending[idx];
@@ -210,10 +215,10 @@ impl Campaign {
                                 &shard_log_path_in(dir, unit.shard),
                                 &result.to_json(config_hash).render(),
                             )?;
-                            let mut ck = checkpoint.lock();
+                            let mut ck = checkpoint.lock().expect(CHECKPOINT);
                             ck.completed.insert(unit.shard);
                             write_atomic(&dir.join("campaign.json"), &ck.to_json().render())?;
-                            let mut s = summary.lock();
+                            let mut s = summary.lock().expect(SUMMARY);
                             s.shards_run += 1;
                             s.scanned += result.scanned;
                             s.canonical += result.canonical;
@@ -231,19 +236,18 @@ impl Campaign {
                             Ok(())
                         });
                         if let Err(e) = outcome {
-                            *error.lock() = Some(e);
+                            *error.lock().expect(ERROR_SLOT) = Some(e);
                             return;
                         }
                     }
                 });
             }
-        })
-        .expect("worker threads do not panic");
+        });
 
-        if let Some(e) = error.into_inner() {
+        if let Some(e) = error.into_inner().expect(ERROR_SLOT) {
             return Err(e);
         }
-        Ok(summary.into_inner())
+        Ok(summary.into_inner().expect(SUMMARY))
     }
 
     /// Loads every survivor from the completed shard logs, in ascending

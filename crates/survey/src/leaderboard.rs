@@ -3,7 +3,7 @@
 //!
 //! For every target length the survivors are ranked by `(HD, P_ud at
 //! the head of the BER grid, taps, Koopman value)` — HD first because it
-//! is the paper's headline criterion, P_ud to split polynomials with
+//! is the paper's headline measure, P_ud to split polynomials with
 //! equal HD by their exact low-weight structure, taps as the hardware
 //! tie-break, Koopman value last so the order is total and the rendered
 //! artifact is byte-deterministic. Entries on the campaign's Pareto

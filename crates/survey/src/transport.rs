@@ -967,22 +967,21 @@ impl TcpServer {
     }
 }
 
+/// Longest request line, in bytes before the `\n`, that the server reads.
+const MAX_REQUEST_LINE: u64 = 1 << 26;
+
 /// Reads one `\n`-terminated line of raw bytes from a blocking stream
-/// (damaged frames may not be UTF-8; the framing layer decides).
+/// (damaged frames may not be UTF-8; the framing layer decides). A line
+/// longer than [`MAX_REQUEST_LINE`] is an error.
 fn read_line_from(stream: &mut TcpStream, timeout: Duration) -> std::io::Result<Vec<u8>> {
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(timeout))?;
     let mut buf = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        let n = stream.read(&mut byte)?;
-        if n == 0 || byte[0] == b'\n' {
-            break;
-        }
-        buf.push(byte[0]);
-        if buf.len() > 1 << 26 {
-            return Err(std::io::Error::other("request line too long"));
-        }
+    BufReader::new(stream.take(MAX_REQUEST_LINE + 1)).read_until(b'\n', &mut buf)?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() as u64 > MAX_REQUEST_LINE {
+        return Err(std::io::Error::other("request line too long"));
     }
     Ok(buf)
 }
@@ -1245,6 +1244,45 @@ mod tests {
                 .unwrap(),
             Reply::Wait { backoff_ms: 7 }
         );
+        server_thread.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_server_drops_overlong_lines_and_keeps_serving() {
+        let mut server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let server_thread = std::thread::spawn(move || {
+            let mut served = 0;
+            while served < 2 {
+                if server.serve_one(&mut |req| echo_handler(req)).unwrap() {
+                    served += 1;
+                } else {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+        });
+        // One byte past the bound and no newline: the server reads that
+        // far, then drops the connection without a reply.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let chunk = vec![b'x'; 1 << 16];
+        let mut left = MAX_REQUEST_LINE + 1;
+        while left > 0 {
+            let n = left.min(chunk.len() as u64) as usize;
+            raw.write_all(&chunk[..n]).unwrap();
+            left -= n as u64;
+        }
+        let mut reply = Vec::new();
+        let _ = raw.read_to_end(&mut reply);
+        assert!(reply.is_empty(), "an overlong line gets no reply");
+        let mut client = TcpClient::new(&addr.to_string()).with_timeout(Duration::from_secs(10));
+        assert!(matches!(
+            client
+                .call(&Request::Hello {
+                    worker: "w1".into()
+                })
+                .unwrap(),
+            Reply::Welcome { .. }
+        ));
         server_thread.join().unwrap();
     }
 }
