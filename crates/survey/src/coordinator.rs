@@ -18,9 +18,10 @@
 //!
 //! All decisions live in [`Coordinator::handle`], which takes the
 //! current time as an argument so lease expiry is testable without
-//! sleeping. [`Coordinator::serve`] is the production loop: poll the
-//! transport, sleep when idle, exit shortly after the campaign
-//! completes.
+//! sleeping. [`Coordinator::serve`] is the production loop: serve the
+//! transport (waking as soon as a request arrives where the transport
+//! can wait for one), expire leases and persist the summary at most once
+//! per poll interval, exit shortly after the campaign completes.
 //!
 //! # Fault tolerance
 //!
@@ -55,7 +56,9 @@ use crate::campaign::{ShardResult, FORMAT_VERSION};
 use crate::engine::Campaign;
 use crate::frame::WireStats;
 use crate::json::Json;
-use crate::transport::{LeaseInfo, Reply, Request, ServeTransport, StatusReport, WorkerHeartbeat};
+use crate::transport::{
+    LeaseInfo, Reply, Request, ServeTransport, StatusReport, WorkerHeartbeat, ACCEPT_WAIT,
+};
 use crate::Result;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -63,12 +66,18 @@ use std::time::{Duration, Instant};
 /// Backoff hint sent with [`Reply::Wait`].
 const WAIT_BACKOFF_MS: u64 = 100;
 
+/// An idle [`ServeTransport::serve_one`] call that took at least this
+/// long was itself waiting for a request (the TCP server blocks in
+/// `accept` for up to [`ACCEPT_WAIT`]), so the serve loop goes straight
+/// back to it instead of sleeping.
+const WAITED_FOR_TRAFFIC: Duration = Duration::from_micros(ACCEPT_WAIT.as_micros() as u64 / 2);
+
 /// Default lease-expiry count that parks a shard in quarantine.
 const DEFAULT_QUARANTINE_AFTER: u32 = 5;
 
 /// Tallies of coordinator activity, reported when [`Coordinator::serve`]
 /// returns and persisted to `coordinator-summary.json` in the campaign
-/// directory (refreshed on idle/linger ticks and at shutdown).
+/// directory (refreshed at most once per poll interval and at shutdown).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordSummary {
     /// Shard logs recorded for the first time.
@@ -453,10 +462,15 @@ impl Coordinator {
     /// (complete, or degraded-terminal with every pending shard
     /// quarantined — see [`Coordinator::is_terminal`]), then lingers
     /// for `linger` so workers parked in [`Reply::Wait`] backoff can
-    /// still learn it is [`Reply::Done`]. Sleeps `poll` between empty
-    /// polls; idle ticks also expire leases, so quarantine progresses
-    /// even when every worker is dead. The session summary is persisted
-    /// to `coordinator-summary.json` on every idle/linger tick and once
+    /// still learn it is [`Reply::Done`].
+    ///
+    /// A transport that waits for requests (TCP) is called straight
+    /// back, so a request is answered as soon as it arrives; one that
+    /// returns at once when idle (the file queue) is topped up to `poll`
+    /// by sleeping. At most once per `poll`, busy or idle, the loop
+    /// expires leases, so quarantine progresses even when every worker
+    /// is dead, and persists the session summary to
+    /// `coordinator-summary.json` when it changed; it persists it once
     /// more before returning, so the counters survive the process.
     ///
     /// # Errors
@@ -471,9 +485,12 @@ impl Coordinator {
         linger: Duration,
     ) -> Result<CoordSummary> {
         let mut complete_since: Option<Instant> = None;
+        let mut last_tick: Option<Instant> = None;
         let mut persisted: Option<String> = None;
         loop {
+            let started = Instant::now();
             let served = transport.serve_one(&mut |req| self.handle(req, Instant::now()))?;
+            let spent = started.elapsed();
             self.wire = transport.wire_stats();
             if self.is_terminal() {
                 let since = *complete_since.get_or_insert_with(Instant::now);
@@ -484,13 +501,15 @@ impl Coordinator {
             } else {
                 complete_since = None;
             }
-            if !served {
-                // Idle tick: expire leases so a fleet that died without
-                // a word still drives quarantine forward…
+            // Tick on time, not on idleness: a fleet that keeps the
+            // coordinator busy must not leave the summary stale.
+            if last_tick.is_none_or(|t| started.duration_since(t) >= poll) {
+                last_tick = Some(started);
+                // Expire leases so a fleet that died without a word
+                // still drives quarantine forward…
                 self.expire_leases(Instant::now());
-                // …and persist the summary when it changed (cheap — the
-                // document is a few hundred bytes and idle ticks are
-                // already sleeping).
+                // …and persist the summary when it changed (the
+                // document is a few hundred bytes).
                 let doc = self.summary_json().render();
                 if persisted.as_deref() != Some(&doc) {
                     crate::engine::write_atomic(
@@ -499,7 +518,9 @@ impl Coordinator {
                     )?;
                     persisted = Some(doc);
                 }
-                std::thread::sleep(poll);
+            }
+            if !served && spent < WAITED_FOR_TRAFFIC {
+                std::thread::sleep(poll.saturating_sub(spent));
             }
         }
     }
@@ -511,6 +532,8 @@ mod tests {
     use crate::campaign::{CampaignConfig, Mode};
     use crate::engine::{evaluate_unit, UnitScratch};
     use crate::json::Json;
+    use crate::transport::{TcpClient, TcpServer, WorkerTransport};
+    use crate::Error;
 
     fn test_config() -> CampaignConfig {
         CampaignConfig {
@@ -873,6 +896,102 @@ mod tests {
         // Re-writing produces identical bytes.
         coord.write_summary().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Serves a request on every call until `busy_for` has passed, then
+    /// fails as a dead listener would: `Hello`s, with one shard
+    /// submission halfway through.
+    struct AlwaysBusy {
+        started: Instant,
+        busy_for: Duration,
+        submit: Option<Json>,
+    }
+
+    impl ServeTransport for AlwaysBusy {
+        fn serve_one(&mut self, handler: &mut dyn FnMut(Request) -> Reply) -> Result<bool> {
+            let elapsed = self.started.elapsed();
+            if elapsed >= self.busy_for {
+                return Err(Error::Io("script over".into()));
+            }
+            let worker = "w".to_string();
+            let req = match self.submit.take_if(|_| elapsed >= self.busy_for / 2) {
+                Some(log) => Request::Submit { worker, log },
+                None => Request::Hello { worker },
+            };
+            handler(req);
+            Ok(true)
+        }
+    }
+
+    #[test]
+    fn summary_is_persisted_while_the_coordinator_stays_busy() {
+        let (mut coord, dir) = fresh_coordinator("busy", Duration::from_secs(60));
+        let config = coord.campaign().config().clone();
+        let poll = Duration::from_millis(10);
+        let mut transport = AlwaysBusy {
+            started: Instant::now(),
+            busy_for: poll * 11,
+            submit: Some(shard_log(&config, 0)),
+        };
+        // Never idle: the loop only ends when the script does.
+        assert!(coord.serve(&mut transport, poll, Duration::ZERO).is_err());
+        let text = std::fs::read_to_string(dir.join("coordinator-summary.json"))
+            .expect("the summary is written on time, not only when idle");
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(
+            doc.require("shards_recorded").unwrap().as_u64(),
+            Some(1),
+            "a tick after the mid-run submission refreshed it"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tcp_requests_are_answered_on_arrival_not_after_a_poll() {
+        let (mut coord, dir) = fresh_coordinator("wake", Duration::from_secs(60));
+        let config = coord.campaign().config().clone();
+        let mut server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let worker = || "w".to_string();
+        let submit = |shard| Request::Submit {
+            worker: worker(),
+            log: shard_log(&config, shard),
+        };
+        let requests = [
+            Request::Hello { worker: worker() },
+            submit(0),
+            submit(1),
+            Request::Status { worker: worker() },
+            submit(2),
+        ];
+        // A 1 s poll: a loop that sleeps out its poll when idle would
+        // answer most of these calls late.
+        let coord_thread = std::thread::spawn(move || {
+            coord
+                .serve(&mut server, Duration::from_secs(1), Duration::ZERO)
+                .unwrap()
+        });
+        let mut client = TcpClient::new(&addr).with_timeout(Duration::from_secs(10));
+        for req in &requests {
+            // Let the coordinator go idle before each call.
+            std::thread::sleep(Duration::from_millis(150));
+            let t = Instant::now();
+            let reply = client.call(req).unwrap();
+            let rtt = t.elapsed();
+            assert!(
+                !matches!(reply, Reply::Refused { .. } | Reply::Retry { .. }),
+                "{reply:?}"
+            );
+            assert!(
+                rtt < Duration::from_millis(300),
+                "{:?} answered after {rtt:?}",
+                req.to_json().require("type").unwrap()
+            );
+        }
+        // The last submission completed the campaign; with no linger the
+        // loop ends on its next idle return.
+        assert_eq!(coord_thread.join().unwrap().shards_recorded, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

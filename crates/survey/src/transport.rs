@@ -567,14 +567,19 @@ pub trait WorkerTransport {
     }
 }
 
-/// The coordinator side of a transport: poll-style service of one
-/// pending request at a time.
+/// The coordinator side of a transport: service of one pending request
+/// at a time.
 pub trait ServeTransport {
-    /// Serves at most one pending request through `handler` and returns
-    /// whether one was served (callers sleep briefly on `false`).
-    /// Malformed or truncated client traffic is dropped (optionally
-    /// answered with [`Reply::Refused`]) rather than propagated — a
-    /// misbehaving worker must not take the coordinator down.
+    /// Serves at most one request through `handler` and returns whether
+    /// one was served. With nothing pending, an implementation may wait
+    /// a bounded time for a request to arrive (the TCP server waits up to
+    /// 10 ms in `accept` on Linux) or return `false` at once (the file
+    /// queue); callers only top an immediate `false` up to their poll
+    /// interval, so a request that arrives during a wait is served as
+    /// soon as it lands. Malformed or truncated client traffic is dropped
+    /// (optionally answered with [`Reply::Refused`]) rather than
+    /// propagated — a misbehaving worker must not take the coordinator
+    /// down.
     ///
     /// # Errors
     ///
@@ -927,8 +932,10 @@ impl WorkerTransport for TcpClient {
     }
 }
 
-/// The coordinator end of the TCP transport: a non-blocking listener
-/// polled by [`ServeTransport::serve_one`].
+/// The coordinator end of the TCP transport. On Linux the listener
+/// blocks in [`ServeTransport::serve_one`] for up to 10 ms waiting for a
+/// connection, so a request is accepted the moment it arrives; other
+/// targets keep a non-blocking listener that the caller polls.
 #[derive(Debug)]
 pub struct TcpServer {
     listener: TcpListener,
@@ -945,6 +952,19 @@ impl TcpServer {
     pub fn bind(addr: &str) -> Result<TcpServer> {
         let listener =
             TcpListener::bind(addr).map_err(|e| Error::Io(format!("bind {addr}: {e}")))?;
+        // Linux applies SO_RCVTIMEO to accept(2) (socket(7)). std sets
+        // that option only through a stream, so the listening socket
+        // passes through one and back.
+        #[cfg(target_os = "linux")]
+        let listener = {
+            use std::os::fd::OwnedFd;
+            let socket = TcpStream::from(OwnedFd::from(listener));
+            socket
+                .set_read_timeout(Some(ACCEPT_WAIT))
+                .map_err(|e| Error::Io(format!("listener accept timeout: {e}")))?;
+            TcpListener::from(OwnedFd::from(socket))
+        };
+        #[cfg(not(target_os = "linux"))]
         listener
             .set_nonblocking(true)
             .map_err(|e| Error::Io(format!("nonblocking listener: {e}")))?;
@@ -966,6 +986,10 @@ impl TcpServer {
             .map_err(|e| Error::Io(format!("local addr: {e}")))
     }
 }
+
+/// Longest time one [`TcpServer`] `serve_one` call waits in `accept` for
+/// a connection (Linux only; elsewhere the listener does not wait).
+pub(crate) const ACCEPT_WAIT: Duration = Duration::from_millis(10);
 
 /// Longest request line, in bytes before the `\n`, that the server reads.
 const MAX_REQUEST_LINE: u64 = 1 << 26;
@@ -990,7 +1014,15 @@ impl ServeTransport for TcpServer {
     fn serve_one(&mut self, handler: &mut dyn FnMut(Request) -> Reply) -> Result<bool> {
         let (mut stream, _) = match self.listener.accept() {
             Ok(conn) => conn,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+            // The accept wait ran out (or, off Linux, nothing is queued).
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Ok(false)
+            }
             Err(e) => return Err(Error::Io(format!("accept: {e}"))),
         };
         // From here on, client failures are the client's problem: drop
@@ -1245,6 +1277,30 @@ mod tests {
             Reply::Wait { backoff_ms: 7 }
         );
         server_thread.join().unwrap();
+    }
+
+    #[test]
+    fn idle_tcp_serve_one_returns_after_a_bounded_wait() {
+        let mut server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // On its own thread, so a platform whose accept ignores the
+        // timeout fails the deadline below instead of hanging the suite.
+        let server_thread = std::thread::spawn(move || {
+            let t = Instant::now();
+            let served = server.serve_one(&mut |req| echo_handler(req));
+            let _ = tx.send((served.unwrap(), t.elapsed()));
+        });
+        let (served, waited) = rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("an idle serve_one must return within 1 s");
+        server_thread.join().unwrap();
+        assert!(!served, "nothing was pending");
+        if cfg!(target_os = "linux") {
+            assert!(
+                waited >= ACCEPT_WAIT / 2,
+                "the listener waits in accept, not returns at once ({waited:?})"
+            );
+        }
     }
 
     #[test]

@@ -163,7 +163,8 @@ fn tcp_server_survives_every_mangled_frame() {
         let mut msg = line.to_vec();
         msg.push(b'\n');
         stream.write_all(&msg).unwrap();
-        // Poll the (non-blocking) server until it picks the call up.
+        // Serve until the server picks the call up (an idle call waits
+        // at most a bounded time, then returns false).
         loop {
             match server.serve_one(&mut |_req| {
                 *handled += 1;
