@@ -589,7 +589,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 fn cmd_merge(args: &[String]) -> Result<(), String> {
     let dir = require_dir(args)?;
     let mut campaign = Campaign::open(&dir).map_err(|e| e.to_string())?;
-    let hash = campaign.config().content_hash();
+    let hash = campaign.config_hash();
     // Everything that is not a recognized flag (or its value) is a log.
     let mut logs = Vec::new();
     let mut i = 0;

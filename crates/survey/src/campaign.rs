@@ -171,24 +171,34 @@ impl CampaignConfig {
     /// stratum, whose range `0..per_stratum` counts draws rather than
     /// offsets.
     pub fn work_units(&self) -> Vec<WorkUnit> {
+        (0..self.shards)
+            .map(|shard| self.work_unit(shard))
+            .collect()
+    }
+
+    /// One entry of [`CampaignConfig::work_units`], computed in O(1)
+    /// without building the whole list. `shard` must be below
+    /// `self.shards`.
+    pub fn work_unit(&self, shard: u64) -> WorkUnit {
+        debug_assert!(
+            shard < self.shards,
+            "shard {shard} outside 0..{}",
+            self.shards
+        );
         if let Mode::Census { per_stratum, .. } = &self.mode {
-            return (0..self.shards)
-                .map(|shard| WorkUnit {
-                    shard,
-                    start: 0,
-                    end: *per_stratum,
-                })
-                .collect();
+            return WorkUnit {
+                shard,
+                start: 0,
+                end: *per_stratum,
+            };
         }
         let total = self.space().total();
         let chunk = total.div_ceil(self.shards);
-        (0..self.shards)
-            .map(|shard| WorkUnit {
-                shard,
-                start: (shard * chunk).min(total),
-                end: ((shard + 1) * chunk).min(total),
-            })
-            .collect()
+        WorkUnit {
+            shard,
+            start: (shard * chunk).min(total),
+            end: ((shard + 1) * chunk).min(total),
+        }
     }
 
     /// FNV-1a hash of the canonical config rendering — the identity
@@ -772,7 +782,9 @@ pub(crate) fn check_header(v: &Json, format: &str, config_hash: u64) -> Result<(
 }
 
 /// The `campaign.json` checkpoint: config identity plus the set of
-/// completed shards. Rewritten atomically after every shard completion.
+/// completed shards. Written atomically when a campaign is created and
+/// again when its last shard completes; completions in between are
+/// recorded in the campaign journal (see [`crate::engine`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// The campaign parameters.
@@ -869,6 +881,25 @@ mod tests {
         narrow.shards = 4;
         let units = narrow.work_units();
         assert_eq!(units.iter().map(|u| u.end - u.start).sum::<u64>(), 4);
+        // The O(1) accessor agrees with the list in every mode.
+        let mut sampled = cfg();
+        sampled.mode = Mode::Sampled { per_shard: 50 };
+        let census = CampaignConfig {
+            shards: 12,
+            mode: Mode::Census {
+                per_stratum: 30,
+                classes: vec![],
+            },
+            ..cfg()
+        };
+        for c in [cfg(), narrow, sampled, census] {
+            c.validate().unwrap();
+            let units = c.work_units();
+            assert_eq!(units.len() as u64, c.shards);
+            for (s, unit) in units.iter().enumerate() {
+                assert_eq!(c.work_unit(s as u64), *unit, "{:?} shard {s}", c.mode);
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! `HD ≥ min_hd` at each leaderboard length. The totals row sums the
 //! tap strata; summed bounds are conservative when read jointly.
 
-use crate::campaign::{Mode, ShardResult, FORMAT_VERSION};
+use crate::campaign::{Mode, FORMAT_VERSION};
 use crate::engine::Campaign;
 use crate::json::Json;
 use crate::{Error, Result};
@@ -288,7 +288,7 @@ pub fn census_report(campaign: &Campaign, z: f64) -> Result<Json> {
     if done != total {
         return Err(Error::Incomplete { done, total });
     }
-    let config_hash = config.content_hash();
+    let config_hash = campaign.config_hash();
     let lengths = &config.target_lengths;
     let tap_count = config.width as usize;
 
@@ -301,10 +301,7 @@ pub fn census_report(campaign: &Campaign, z: f64) -> Result<Json> {
 
     let mut rows = Vec::new();
     for (i, stratum) in strata.iter().enumerate() {
-        let path = campaign.shard_log_path(i as u64);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| Error::Io(format!("read {}: {e}", path.display())))?;
-        let result = ShardResult::from_json(&Json::parse(&text)?, config_hash)?;
+        let result = campaign.shard_result(i as u64)?;
         let size = stratum.size(config.width);
         let n = result.scanned;
 

@@ -46,11 +46,11 @@
 //!   eternal busy-wait.
 //!
 //! Coordinator restart needs no extra machinery: all durable state is
-//! the checkpoint (manifest + shard logs), which [`Campaign::open`]
-//! rebuilds, and workers treat a refused connection as retryable, so
-//! they simply re-handshake when the new process comes up. Leases and
-//! quarantine are session state and reset on restart — the worst case
-//! is re-evaluating work, never corrupting it.
+//! the checkpoint (manifest, journal and shard logs), which
+//! [`Campaign::open`] rebuilds, and workers treat a refused connection
+//! as retryable, so they simply re-handshake when the new process comes
+//! up. Leases and quarantine are session state and reset on restart —
+//! the worst case is re-evaluating work, never corrupting it.
 
 use crate::campaign::{ShardResult, FORMAT_VERSION};
 use crate::engine::Campaign;
@@ -176,9 +176,8 @@ impl Coordinator {
         !self.quarantined.is_empty()
             && self
                 .campaign
-                .pending_shards()
-                .iter()
-                .all(|s| self.quarantined.contains(s))
+                .pending()
+                .all(|s| self.quarantined.contains(&s))
     }
 
     /// Activity counters so far.
@@ -303,17 +302,16 @@ impl Coordinator {
         match req {
             Request::Hello { .. } => Reply::Welcome {
                 config: self.campaign.config().to_json(),
-                config_hash: format!("{:#018x}", self.campaign.config().content_hash()),
+                config_hash: format!("{:#018x}", self.campaign.config_hash()),
             },
             Request::Lease { worker } => {
                 if self.campaign.is_complete() {
                     return Reply::Done;
                 }
                 self.expire_leases(now);
-                let pending = self.campaign.pending_shards();
-                let next = pending
-                    .iter()
-                    .copied()
+                let next = self
+                    .campaign
+                    .pending()
                     .find(|s| !self.leases.contains_key(s) && !self.quarantined.contains(s));
                 // No fresh shard: before parking the worker, re-grant
                 // its own lowest outstanding lease — if its Assign
@@ -329,7 +327,7 @@ impl Coordinator {
                 match next {
                     Some(shard) => {
                         self.leases.insert(shard, (worker, now + self.lease_ttl));
-                        let unit = self.campaign.config().work_units()[shard as usize];
+                        let unit = self.campaign.config().work_unit(shard);
                         Reply::Assign {
                             shard,
                             start: unit.start,
@@ -346,12 +344,12 @@ impl Coordinator {
                 }
             }
             Request::Submit { worker, log } => {
-                let hash = self.campaign.config().content_hash();
-                let recorded = ShardResult::from_json(&log, hash).and_then(|r| {
-                    let stats = (r.unit.shard, r.scanned, r.survivors.len() as u64);
-                    let fresh = self.campaign.record_shard(&r)?;
-                    Ok((stats, fresh))
-                });
+                let recorded =
+                    ShardResult::from_json(&log, self.campaign.config_hash()).and_then(|r| {
+                        let stats = (r.unit.shard, r.scanned, r.survivors.len() as u64);
+                        let fresh = self.campaign.record_shard(&r)?;
+                        Ok((stats, fresh))
+                    });
                 match recorded {
                     Ok(((shard, scanned, survivors), fresh)) => {
                         self.leases.remove(&shard);
@@ -418,7 +416,7 @@ impl Coordinator {
             ("version", Json::Int(FORMAT_VERSION)),
             (
                 "config_hash",
-                Json::Str(format!("{:#018x}", self.campaign.config().content_hash())),
+                Json::Str(format!("{:#018x}", self.campaign.config_hash())),
             ),
             ("done", Json::Int(done)),
             ("total", Json::Int(total)),

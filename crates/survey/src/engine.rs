@@ -14,37 +14,78 @@
 //!
 //! # Checkpoint protocol
 //!
+//! A campaign directory holds three kinds of file:
+//!
+//! * `campaign.json`, the manifest: config, content hash and the set of
+//!   completed shards. It is written twice: by [`Campaign::create`] with
+//!   an empty set, and when the last shard completes, listing them all;
+//! * `shards/shard-NNNNN.json`, one survivor log per completed shard;
+//! * `campaign.journal`, an append-only record of shard completions.
+//!
 //! Completing a shard performs, in order:
 //!
 //! 1. write `shards/shard-NNNNN.json` atomically (temp file + rename);
-//! 2. under the checkpoint lock, insert the shard into the completed set
-//!    and rewrite `campaign.json` atomically.
+//! 2. under the checkpoint lock, append one line to `campaign.journal`
+//!    naming the shard with the byte length and CRC-32 of its log.
 //!
-//! A kill between (1) and (2) leaves an orphan log that the next resume
-//! simply overwrites with identical bytes; a kill mid-write leaves a
-//! `.tmp` file that is never read. At every instant `campaign.json`
-//! names only shards whose logs are fully on disk — resuming from any
-//! checkpoint replays exactly the missing units and reproduces the
-//! uninterrupted artifacts byte for byte.
+//! Every journal line is framed like a wire frame ([`crate::frame`]) and
+//! ends in a newline. The first line names the campaign:
+//!
+//! ```text
+//! {"format":"crc-survey-journal","version":1,"config_hash":"0x…"}#crc32=…
+//! {"shard":3,"len":2817,"crc":"5f0c1a2b"}#crc32=…
+//! ```
+//!
+//! Lines are under 100 bytes, where the framing CRC (the 802.3
+//! polynomial) keeps Hamming distance 5, so any error of up to four bits
+//! in a line's payload is caught.
+//!
+//! Nothing is fsynced. Instead, [`Campaign::open`] validates what it
+//! reads, and never writes. A shard is complete when the manifest lists
+//! it or a journal line names it; when a journal line names it, its log on
+//! disk must also have the journaled length and CRC. A line that fails
+//! its trailer is skipped, a tail with no final newline is ignored, and
+//! the shards they named are recomputed. The first append after an open
+//! cuts the file back to its last intact line. So a process kill costs at
+//! most the shards in flight, and a host crash costs the shards whose log
+//! or journal line had not reached the disk. Neither can produce wrong
+//! bytes: a unit's result is pure in `(config, shard id)`, so recomputing
+//! it reproduces its log exactly.
 
 use crate::campaign::{
     unit_seed, CampaignConfig, Checkpoint, Mode, ShardResult, SurvivorRecord, WorkUnit,
     STREAM_SAMPLE,
 };
+use crate::frame;
 use crate::json::Json;
 use crate::{Error, Result};
 use gf2poly::SplitMix64;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// The completion journal's file name inside a campaign directory.
+const JOURNAL: &str = "campaign.journal";
+/// The journal format's own version, independent of the JSON artifacts'
+/// `FORMAT_VERSION`.
+const JOURNAL_VERSION: u64 = 1;
 
 /// A campaign bound to its on-disk directory.
 #[derive(Debug)]
 pub struct Campaign {
     dir: PathBuf,
     checkpoint: Checkpoint,
+    /// `checkpoint.config.content_hash()`, computed once.
+    config_hash: u64,
+    /// Lowest shard id not yet complete (`config.shards` once all are).
+    first_pending: u64,
+    /// Whether `campaign.json` on disk already lists every shard.
+    manifest_full: bool,
+    journal: Journal,
 }
 
 /// Aggregate counts from one `run` call.
@@ -81,35 +122,65 @@ impl Campaign {
             .map_err(|e| Error::Io(format!("create {}: {e}", dir.display())))?;
         let campaign = Campaign {
             dir: dir.to_path_buf(),
+            config_hash: config.content_hash(),
             checkpoint: Checkpoint {
                 config,
                 completed: BTreeSet::new(),
             },
+            first_pending: 0,
+            manifest_full: false,
+            // Intact length 0: the first append replaces whatever a
+            // journal left in this directory by an earlier campaign.
+            journal: Journal::default(),
         };
         campaign.write_checkpoint()?;
         Ok(campaign)
     }
 
-    /// Opens an existing campaign from its `campaign.json`.
+    /// Opens an existing campaign from its `campaign.json` and
+    /// `campaign.journal`, validating every journaled shard log (see the
+    /// checkpoint protocol above). Never writes.
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] when the manifest is unreadable, [`Error::Parse`]
-    /// when it is malformed or version-incompatible.
+    /// [`Error::Io`] when the manifest or journal is unreadable,
+    /// [`Error::Parse`] when the manifest is malformed or
+    /// version-incompatible, or the journal's header names another
+    /// campaign.
     pub fn open(dir: &Path) -> Result<Campaign> {
         let manifest = dir.join("campaign.json");
         let text = std::fs::read_to_string(&manifest)
             .map_err(|e| Error::Io(format!("read {}: {e}", manifest.display())))?;
-        let checkpoint = Checkpoint::from_json(&Json::parse(&text)?)?;
-        Ok(Campaign {
+        let mut checkpoint = Checkpoint::from_json(&Json::parse(&text)?)?;
+        let config_hash = checkpoint.config.content_hash();
+        let shards = checkpoint.config.shards;
+        let manifest_full = checkpoint.completed.len() as u64 == shards;
+        let (journal, rejected) = Journal::read(dir, config_hash, shards)?;
+        for shard in rejected {
+            checkpoint.completed.remove(&shard);
+        }
+        checkpoint.completed.extend(journal.stamps.keys());
+        let mut campaign = Campaign {
             dir: dir.to_path_buf(),
             checkpoint,
-        })
+            config_hash,
+            first_pending: 0,
+            manifest_full,
+            journal,
+        };
+        campaign.advance_first_pending();
+        Ok(campaign)
     }
 
     /// The campaign parameters.
     pub fn config(&self) -> &CampaignConfig {
         &self.checkpoint.config
+    }
+
+    /// The config's content hash ([`CampaignConfig::content_hash`]),
+    /// computed once when the campaign was created or opened.
+    pub fn config_hash(&self) -> u64 {
+        self.config_hash
     }
 
     /// The campaign directory.
@@ -130,12 +201,17 @@ impl Campaign {
         self.checkpoint.completed.len() as u64 == self.checkpoint.config.shards
     }
 
+    /// Shard ids not yet checkpointed, ascending, without building a
+    /// list: the scan starts at the lowest pending shard.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = u64> + '_ {
+        (self.first_pending..self.checkpoint.config.shards)
+            .filter(|s| !self.checkpoint.completed.contains(s))
+    }
+
     /// Shard ids not yet checkpointed, ascending — what a coordinator
     /// still has to hand out.
     pub fn pending_shards(&self) -> Vec<u64> {
-        (0..self.checkpoint.config.shards)
-            .filter(|s| !self.checkpoint.completed.contains(s))
-            .collect()
+        self.pending().collect()
     }
 
     /// Path of one shard's survivor log.
@@ -146,7 +222,10 @@ impl Campaign {
     /// Runs pending shards on `threads` workers until the campaign
     /// completes, an error occurs, or `stop_after` shards have been
     /// checkpointed by this call (the kill-at-a-checkpoint primitive the
-    /// determinism tests and the CI resume check drive).
+    /// determinism tests and the CI resume check drive). A campaign whose
+    /// shards are all complete but whose manifest does not list them yet
+    /// (the process stopped between the last journal line and the final
+    /// manifest write) gets its final manifest here.
     ///
     /// # Errors
     ///
@@ -154,13 +233,10 @@ impl Campaign {
     /// valid (completed shards remain completed).
     pub fn run(&mut self, threads: usize, stop_after: Option<u64>) -> Result<RunSummary> {
         let config = self.checkpoint.config.clone();
-        let config_hash = config.content_hash();
-        let pending: Vec<WorkUnit> = config
-            .work_units()
-            .into_iter()
-            .filter(|u| !self.checkpoint.completed.contains(&u.shard))
-            .collect();
+        let config_hash = self.config_hash;
+        let pending: Vec<WorkUnit> = self.pending().map(|s| config.work_unit(s)).collect();
         if pending.is_empty() {
+            self.write_final_manifest()?;
             return Ok(RunSummary::default());
         }
         let threads = threads.max(1).min(pending.len());
@@ -173,10 +249,11 @@ impl Campaign {
         const CHECKPOINT: &str = "no worker panics holding the checkpoint lock";
         let summary = Mutex::new(RunSummary::default());
         let error: Mutex<Option<Error>> = Mutex::new(None);
-        // The checkpoint is shared mutable state: workers serialize the
-        // insert + rewrite under this lock (see the protocol above).
-        let checkpoint = Mutex::new(&mut self.checkpoint);
-        let dir = self.dir.as_path();
+        let dir = self.dir.clone();
+        // The campaign's completion state is shared mutable state:
+        // workers serialize the journal append under this lock (see the
+        // protocol above).
+        let campaign = Mutex::new(self);
         let t0 = Instant::now();
 
         std::thread::scope(|scope| {
@@ -211,13 +288,11 @@ impl Campaign {
                             r
                         };
                         let outcome = evaluated.and_then(|result| {
-                            write_atomic(
-                                &shard_log_path_in(dir, unit.shard),
-                                &result.to_json(config_hash).render(),
-                            )?;
-                            let mut ck = checkpoint.lock().expect(CHECKPOINT);
-                            ck.completed.insert(unit.shard);
-                            write_atomic(&dir.join("campaign.json"), &ck.to_json().render())?;
+                            let log = result.to_json(config_hash).render();
+                            write_atomic(&shard_log_path_in(&dir, unit.shard), &log)?;
+                            let stamp = Stamp::of(log.as_bytes());
+                            let mut campaign = campaign.lock().expect(CHECKPOINT);
+                            campaign.commit(unit.shard, stamp)?;
                             let mut s = summary.lock().expect(SUMMARY);
                             s.shards_run += 1;
                             s.scanned += result.scanned;
@@ -226,7 +301,7 @@ impl Campaign {
                             if let Some(m) = crate::metrics::engine() {
                                 // Pool-wide scan rate and the shard-rate
                                 // ETA, refreshed per completed unit.
-                                let done = ck.completed.len() as u64;
+                                let done = campaign.progress().0;
                                 let us = t0.elapsed().as_micros().max(1) as u64;
                                 m.polys_per_s.set(s.scanned.saturating_mul(1_000_000) / us);
                                 let remaining = config.shards.saturating_sub(done);
@@ -252,39 +327,68 @@ impl Campaign {
 
     /// Loads every survivor from the completed shard logs, in ascending
     /// shard then Koopman order (for exhaustive campaigns this is global
-    /// Koopman order).
+    /// Koopman order). A log that a journal line vouches for must still
+    /// have the journaled length and CRC.
     ///
     /// # Errors
     ///
-    /// [`Error::Incomplete`] unless the campaign is complete; IO/parse
-    /// errors from unreadable logs.
+    /// [`Error::Incomplete`] unless the campaign is complete;
+    /// [`Error::Parse`] naming the shard when a log no longer matches its
+    /// journal line; IO/parse errors from unreadable logs.
     pub fn survivors(&self) -> Result<Vec<SurvivorRecord>> {
         let (done, total) = self.progress();
         if done != total {
             return Err(Error::Incomplete { done, total });
         }
-        let config_hash = self.checkpoint.config.content_hash();
         let mut out = Vec::new();
         for shard in 0..total {
-            let path = self.shard_log_path(shard);
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| Error::Io(format!("read {}: {e}", path.display())))?;
-            let result = ShardResult::from_json(&Json::parse(&text)?, config_hash)?;
-            if result.unit.shard != shard {
-                return Err(Error::Parse(format!(
-                    "{} records shard {}, expected {shard}",
-                    path.display(),
-                    result.unit.shard
-                )));
-            }
-            out.extend(result.survivors);
+            out.extend(self.shard_result(shard)?.survivors);
         }
         Ok(out)
     }
 
+    /// Reads and parses one shard's log, first checking it against its
+    /// journal line when it has one.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Parse`] naming the shard when the log no longer matches
+    /// its journal line, is not a log of this campaign, or records
+    /// another shard; [`Error::Io`] when it is unreadable.
+    pub(crate) fn shard_result(&self, shard: u64) -> Result<ShardResult> {
+        let path = self.shard_log_path(shard);
+        let bytes =
+            std::fs::read(&path).map_err(|e| Error::Io(format!("read {}: {e}", path.display())))?;
+        if let Some(stamp) = self.journal.stamps.get(&shard) {
+            let found = Stamp::of(&bytes);
+            if found != *stamp {
+                return Err(Error::Parse(format!(
+                    "shard {shard}: {} has length {} and CRC {:08x}, but the journal \
+                     recorded {} and {:08x}; it changed after completion",
+                    path.display(),
+                    found.len,
+                    found.crc,
+                    stamp.len,
+                    stamp.crc
+                )));
+            }
+        }
+        let text = String::from_utf8(bytes)
+            .map_err(|_| Error::Parse(format!("{} is not UTF-8", path.display())))?;
+        let result = ShardResult::from_json(&Json::parse(&text)?, self.config_hash)?;
+        if result.unit.shard != shard {
+            return Err(Error::Parse(format!(
+                "{} records shard {}, expected {shard}",
+                path.display(),
+                result.unit.shard
+            )));
+        }
+        Ok(result)
+    }
+
     /// Records one shard's result — the coordinator's merge path,
     /// sharing the byte-for-byte write protocol of [`Campaign::run`]
-    /// (shard log atomically first, then the manifest). Idempotent:
+    /// (shard log atomically first, then the journal line). Idempotent:
     /// resubmitting an already checkpointed shard succeeds when the
     /// bytes match (deterministic work units always match) and returns
     /// `false`; a conflicting resubmission is refused without touching
@@ -304,14 +408,14 @@ impl Campaign {
                 config.shards
             )));
         }
-        let expect = config.work_units()[shard as usize];
+        let expect = config.work_unit(shard);
         if result.unit != expect {
             return Err(Error::Config(format!(
                 "shard {shard} covers {}..{}, campaign expects {}..{}",
                 result.unit.start, result.unit.end, expect.start, expect.end
             )));
         }
-        let bytes = result.to_json(config.content_hash()).render();
+        let bytes = result.to_json(self.config_hash).render();
         let path = self.shard_log_path(shard);
         if self.checkpoint.completed.contains(&shard) {
             let existing = std::fs::read_to_string(&path)
@@ -324,9 +428,36 @@ impl Campaign {
             )));
         }
         write_atomic(&path, &bytes)?;
-        self.checkpoint.completed.insert(shard);
-        self.write_checkpoint()?;
+        self.commit(shard, Stamp::of(bytes.as_bytes()))?;
         Ok(true)
+    }
+
+    /// Marks `shard`, whose log is on disk with `stamp`, complete: one
+    /// journal append, plus the final manifest if it was the last shard.
+    fn commit(&mut self, shard: u64, stamp: Stamp) -> Result<()> {
+        self.journal
+            .append(&self.dir, self.config_hash, shard, stamp)?;
+        self.checkpoint.completed.insert(shard);
+        self.advance_first_pending();
+        self.write_final_manifest()
+    }
+
+    /// Writes the manifest listing every shard, once the campaign is
+    /// complete and the manifest on disk does not list them all yet.
+    fn write_final_manifest(&mut self) -> Result<()> {
+        if self.is_complete() && !self.manifest_full {
+            self.write_checkpoint()?;
+            self.manifest_full = true;
+        }
+        Ok(())
+    }
+
+    fn advance_first_pending(&mut self) {
+        while self.first_pending < self.checkpoint.config.shards
+            && self.checkpoint.completed.contains(&self.first_pending)
+        {
+            self.first_pending += 1;
+        }
     }
 
     fn write_checkpoint(&self) -> Result<()> {
@@ -354,6 +485,163 @@ pub(crate) fn write_atomic(path: &Path, contents: &str) -> Result<()> {
             path.display()
         ))
     })
+}
+
+/// The byte length and CRC-32 ([`frame::checksum`]) of a shard log as
+/// written: what a journal line vouches for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    len: u64,
+    crc: u32,
+}
+
+impl Stamp {
+    fn of(log: &[u8]) -> Stamp {
+        Stamp {
+            len: log.len() as u64,
+            crc: frame::checksum(log),
+        }
+    }
+}
+
+/// `campaign.journal`: what its intact lines vouch for, and the append
+/// handle, opened on first use.
+#[derive(Debug, Default)]
+struct Journal {
+    /// The stamp of every journaled shard whose log checked out on open
+    /// or was written by this process.
+    stamps: BTreeMap<u64, Stamp>,
+    /// Length of the file's intact prefix: a valid header and the lines
+    /// after it up to the last valid one. Zero means no usable header.
+    intact_len: u64,
+    file: Option<File>,
+}
+
+impl Journal {
+    /// The header payload naming the campaign a journal belongs to.
+    fn header(config_hash: u64) -> String {
+        format!(
+            r#"{{"format":"crc-survey-journal","version":{JOURNAL_VERSION},"config_hash":"{config_hash:#018x}"}}"#
+        )
+    }
+
+    /// Reads `dir`'s journal (a missing one is empty) and checks every
+    /// journaled shard's log against its line. Returns the journal and
+    /// the journaled shards whose logs failed that check; those are not
+    /// complete even if the manifest lists them. Counts every rejected
+    /// line and log in `survey.engine.journal_dropped`.
+    fn read(dir: &Path, config_hash: u64, shards: u64) -> Result<(Journal, Vec<u64>)> {
+        let path = dir.join(JOURNAL);
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok((Journal::default(), Vec::new()))
+            }
+            Err(e) => return Err(Error::Io(format!("read {}: {e}", path.display()))),
+        };
+        // A line is intact when it ends in a newline and passes its CRC
+        // trailer; a final segment with no newline is a torn append.
+        let intact = |line: &[u8]| {
+            line.strip_suffix(b"\n")
+                .and_then(|l| frame::decode_bytes(l).ok())
+        };
+        let mut journal = Journal::default();
+        let mut dropped = 0u64;
+        let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+        match lines.next().map(|line| (line.len(), intact(line))) {
+            None => {}
+            Some((len, Some(header))) => {
+                let expect = Journal::header(config_hash);
+                if header != expect {
+                    return Err(Error::Parse(format!(
+                        "{} belongs to a different campaign: header {header}, expected {expect}",
+                        path.display()
+                    )));
+                }
+                journal.intact_len = len as u64;
+            }
+            // Without a header nothing after it can be tied to this
+            // campaign: drop the whole journal and recompute.
+            Some((_, None)) => dropped = 1 + lines.by_ref().count() as u64,
+        }
+        let mut offset = journal.intact_len;
+        let mut entries = BTreeMap::new();
+        for line in lines {
+            offset += line.len() as u64;
+            match intact(line).and_then(|payload| parse_entry(&payload, shards)) {
+                Some((shard, stamp)) => {
+                    entries.insert(shard, stamp);
+                    journal.intact_len = offset;
+                }
+                None => dropped += 1,
+            }
+        }
+        let mut rejected = Vec::new();
+        for (shard, stamp) in entries {
+            let log = std::fs::read(shard_log_path_in(dir, shard));
+            if log.is_ok_and(|log| Stamp::of(&log) == stamp) {
+                journal.stamps.insert(shard, stamp);
+            } else {
+                rejected.push(shard);
+            }
+        }
+        dropped += rejected.len() as u64;
+        if dropped > 0 {
+            if let Some(m) = crate::metrics::engine() {
+                m.journal_dropped.add(dropped);
+            }
+        }
+        Ok((journal, rejected))
+    }
+
+    /// Appends the line for `shard`, opening the file on first use and
+    /// cutting it back to its intact prefix (writing the header when
+    /// there is none).
+    fn append(&mut self, dir: &Path, config_hash: u64, shard: u64, stamp: Stamp) -> Result<()> {
+        let path = dir.join(JOURNAL);
+        let io = |e: std::io::Error| Error::Io(format!("append {}: {e}", path.display()));
+        let mut text = String::new();
+        if self.intact_len == 0 {
+            text.push_str(&frame::encode(&Journal::header(config_hash)));
+            text.push('\n');
+        }
+        let entry = format!(
+            r#"{{"shard":{shard},"len":{},"crc":"{:08x}"}}"#,
+            stamp.len, stamp.crc
+        );
+        text.push_str(&frame::encode(&entry));
+        text.push('\n');
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => {
+                let file = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&path)
+                    .map_err(io)?;
+                file.set_len(self.intact_len).map_err(io)?;
+                self.file.insert(file)
+            }
+        };
+        if let Err(e) = file.write_all(text.as_bytes()) {
+            // The file may now end in a partial line: reopen and cut it
+            // back on the next append.
+            self.file = None;
+            return Err(io(e));
+        }
+        self.intact_len += text.len() as u64;
+        self.stamps.insert(shard, stamp);
+        Ok(())
+    }
+}
+
+/// Parses one journal entry payload, `{"shard":N,"len":L,"crc":"…"}`.
+fn parse_entry(payload: &str, shards: u64) -> Option<(u64, Stamp)> {
+    let doc = Json::parse(payload).ok()?;
+    let shard = doc.get("shard")?.as_u64().filter(|&s| s < shards)?;
+    let len = doc.get("len")?.as_u64()?;
+    let crc = u32::from_str_radix(doc.get("crc")?.as_str()?, 16).ok()?;
+    Some((shard, Stamp { len, crc }))
 }
 
 /// Per-worker reusable state: the survivor accumulator and the

@@ -26,9 +26,14 @@
 //! 3. **Checkpoints**: every artifact is versioned JSON stamped with the
 //!    config's content hash. `campaign.json` holds the config and the
 //!    completed-shard set; `shards/shard-NNNNN.json` holds one unit's
-//!    survivors. Files are written atomically (temp + rename), and the
-//!    manifest is updated only *after* a shard log is fully on disk —
-//!    so at every instant the checkpoint names only durable work.
+//!    survivors; `campaign.journal` gets one CRC-framed line per
+//!    completed shard, carrying the length and CRC-32 of its log. Logs
+//!    and the manifest are written atomically (temp + rename), a shard's
+//!    journal line is appended only after its log is in place, and the
+//!    manifest is rewritten only when the last shard completes. Nothing
+//!    is fsynced: [`Campaign::open`] instead checks every journaled log
+//!    against its line, so the checkpoint it rebuilds names only work
+//!    whose bytes are on disk intact.
 //! 4. **Selection** ([`pareto`], [`leaderboard`]): survivors are ranked
 //!    per target length and filtered to the Pareto frontier over
 //!    (HD at each target length, P_ud across a BER grid, feedback
@@ -43,15 +48,20 @@
 //! * a unit's result depends only on `(config, shard id)`;
 //! * completed shard logs are never rewritten (and rewriting one would
 //!   reproduce the same bytes);
-//! * the manifest's completed set only grows, and only after the
-//!   corresponding log is durable;
+//! * a shard counts as complete only once its log is in place: its
+//!   journal line is appended after the log's rename, and on open a
+//!   journaled log must still have the journaled length and CRC;
 //! * all JSON rendering is deterministic (fixed key order, fixed
 //!   indentation, shortest-round-trip numbers);
 //! * resumes refuse artifacts whose config hash differs.
 //!
-//! The one observable difference after a kill is a possible orphan
-//! shard log not yet named by the manifest; the resume recomputes it to
-//! identical bytes.
+//! After a process kill, the observable differences are a possible
+//! orphan shard log that no journal line names and a torn last journal
+//! line; the resume recomputes those shards to identical bytes. After a
+//! host crash, a log or journal line that had not reached the disk is
+//! caught the same way on open (a torn or corrupt line fails its CRC
+//! trailer; a short or stale log fails its length or CRC), and costs
+//! only the recomputation of its shard.
 //!
 //! ```
 //! use crc_survey::campaign::{CampaignConfig, Mode};

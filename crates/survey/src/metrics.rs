@@ -79,6 +79,10 @@ pub struct Engine {
     pub index_hash_capacity: Arc<Gauge>,
     /// Times any workspace was (re)bound to a polynomial.
     pub index_rebinds: Arc<Gauge>,
+    /// Journal lines and journaled shard logs that `Campaign::open`
+    /// rejected (torn, corrupt, or no longer matching); each costs one
+    /// recomputed shard.
+    pub journal_dropped: Arc<Counter>,
 }
 
 /// Coordinator-side counters mirroring [`CoordSummary`] plus request
@@ -172,6 +176,7 @@ pub fn engine() -> Option<&'static Engine> {
         index_rehashes: reg.gauge("survey.index.rehashes"),
         index_hash_capacity: reg.gauge("survey.index.hash_capacity"),
         index_rebinds: reg.gauge("survey.index.rebinds"),
+        journal_dropped: reg.counter("survey.engine.journal_dropped"),
     }))
 }
 

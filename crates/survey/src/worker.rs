@@ -183,7 +183,6 @@ pub fn run_worker(
             "coordinator's config hash {config_hash} does not match its config document ({expect})"
         )));
     }
-    let units = config.work_units();
     let hash = config.content_hash();
     let mut scratch = UnitScratch::default();
     let mut summary = WorkerSummary::default();
@@ -205,9 +204,12 @@ pub fn run_worker(
             },
         )? {
             Reply::Assign { shard, start, end } => {
-                let unit = *units.get(shard as usize).ok_or_else(|| {
-                    Error::Parse(format!("leased shard {shard} outside the campaign"))
-                })?;
+                if shard >= config.shards {
+                    return Err(Error::Parse(format!(
+                        "leased shard {shard} outside the campaign"
+                    )));
+                }
+                let unit = config.work_unit(shard);
                 if (unit.start, unit.end) != (start, end) {
                     return Err(Error::Parse(format!(
                         "lease for shard {shard} covers {start}..{end}, config says {}..{}",
