@@ -5,7 +5,10 @@
 //! job runs this at `--threads 1`, `2` and `4` and requires all outputs
 //! byte-identical: the engine's results must be a pure function of the
 //! seed, never of the thread schedule. The thread count is deliberately
-//! *not* recorded in the JSON so the files diff directly.
+//! *not* recorded in the JSON so the files diff directly. The job also
+//! diffs the output against `crates/netsim/golden/sim_determinism.json`,
+//! so a change in any channel's RNG draw order fails even when every
+//! thread count agrees.
 //!
 //! The suite covers both engine paths: content-independent channels on
 //! the XOR-delta fast path and content-dependent ones (jammer, stuffing
@@ -124,17 +127,31 @@ fn main() {
     );
 
     // Mixed-size traffic: per-class tallies must merge deterministically.
+    // The jammer rows are the eager-path shape perfbench's `imix_sim` runs.
     let mix = TrafficMix::simple_imix();
-    let ge = GilbertElliottChannel::new(1e-4, 1e-2, 1e-7, 1e-2);
-    let mix_stats = sim.run_mix(&codec, &ge, &mix, 24_000, 0xD17E_0005);
-    for (class, stats) in &mix_stats.per_class {
-        rows.push(stats_json(
-            &format!("imix_{}", class.label.replace(' ', "_")),
+    let mixes: [(&str, Box<dyn Channel>, u64); 2] = [
+        (
+            "imix",
+            Box::new(GilbertElliottChannel::new(1e-4, 1e-2, 1e-7, 1e-2)),
             0xD17E_0005,
-            stats,
-        ));
+        ),
+        (
+            "imix_jammer",
+            Box::new(JammerChannel::hdlc(0.25)),
+            0xD17E_0009,
+        ),
+    ];
+    for (prefix, channel, seed) in &mixes {
+        let mix_stats = sim.run_mix(&codec, channel.as_ref(), &mix, 24_000, *seed);
+        for (class, stats) in &mix_stats.per_class {
+            rows.push(stats_json(
+                &format!("{prefix}_{}", class.label.replace(' ', "_")),
+                *seed,
+                stats,
+            ));
+        }
+        println!("{prefix} total: {:?}", mix_stats.total());
     }
-    println!("imix total: {:?}", mix_stats.total());
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();

@@ -445,6 +445,13 @@ impl Channel for FixedWeightChannel {
 /// a function of the frame *content*, this channel cannot be expressed as
 /// a content-independent XOR delta and always takes the simulator's eager
 /// encode→corrupt→verify path.
+///
+/// **Draw-order contract:** the RNG is drawn only at sync bytes, in frame
+/// order — one hit draw per sync byte, then one bit draw if it hits — so
+/// a seeded jammer's flips are a pure function of the frame and the seed.
+/// [`Channel::corrupt`] skips sync-free 32-byte lanes with one
+/// branch-free test each; that scan must never change which bytes draw
+/// or in what order.
 #[derive(Debug, Clone)]
 pub struct JammerChannel {
     sync: u8,
@@ -480,18 +487,39 @@ impl JammerChannel {
     pub fn sync(&self) -> u8 {
         self.sync
     }
-}
 
-impl Channel for JammerChannel {
-    fn corrupt(&mut self, frame: &mut Vec<u8>) -> u32 {
+    /// The per-byte strike loop over `bytes`, returning the flip count.
+    fn strike(&mut self, bytes: &mut [u8]) -> u32 {
         let mut flipped = 0;
-        for byte in frame.iter_mut() {
+        for byte in bytes {
             if *byte == self.sync && self.rng.gen::<f64>() < self.hit_prob {
                 *byte ^= 1 << self.rng.gen_range(0..8u32);
                 flipped += 1;
             }
         }
         flipped
+    }
+}
+
+/// Bytes per lane of the jammer's sync scan. On random payload about one
+/// byte in 256 is the sync byte, so most lanes hold none and cost one
+/// vectorized compare-and-OR instead of a branch per byte. On a 2-core
+/// AVX-512 Xeon, 16-byte lanes tied end to end; 64-byte lanes took about
+/// 1.5× as long per frame, and a SWAR `u64` zero-byte test and a
+/// bit-mask walk were slower too.
+const JAM_LANE: usize = 32;
+
+impl Channel for JammerChannel {
+    fn corrupt(&mut self, frame: &mut Vec<u8>) -> u32 {
+        let sync = self.sync;
+        let (lanes, tail) = frame.as_chunks_mut::<JAM_LANE>();
+        let mut flipped = 0;
+        for lane in lanes {
+            if lane.iter().fold(false, |any, &b| any | (b == sync)) {
+                flipped += self.strike(lane);
+            }
+        }
+        flipped + self.strike(tail)
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -942,6 +970,66 @@ mod tests {
         let mut flags = vec![0x7Eu8; 64];
         assert_eq!(zero_prob.corrupt(&mut flags), 0);
         assert!(flags.iter().all(|&b| b == 0x7E));
+    }
+
+    /// The jammer's per-byte loop before the lane scan: the oracle whose
+    /// draw order [`JammerChannel::corrupt`] must keep.
+    fn jammer_bytewise(
+        sync: u8,
+        hit_prob: f64,
+        rng: &mut rand::rngs::StdRng,
+        frame: &mut [u8],
+    ) -> u32 {
+        let mut flipped = 0;
+        for byte in frame.iter_mut() {
+            if *byte == sync && rng.gen::<f64>() < hit_prob {
+                *byte ^= 1 << rng.gen_range(0..8u32);
+                flipped += 1;
+            }
+        }
+        flipped
+    }
+
+    #[test]
+    fn jammer_lane_scan_matches_bytewise_reference() {
+        let mut content = rand::rngs::StdRng::seed_from_u64(0x1A7E);
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        for len in (0..=100usize).chain([1518]) {
+            // One sync byte alone on a sync-free background, at lane edges.
+            for at in [0, 15, 16, 31, 32, 63, len.wrapping_sub(1)] {
+                if at < len {
+                    let mut lone = vec![0u8; len];
+                    lone[at] = 0x7E;
+                    frames.push(lone);
+                }
+            }
+            let mut random = vec![0u8; len];
+            content.fill(&mut random[..]);
+            let dense: Vec<u8> = (0..len)
+                .map(|_| if content.gen::<bool>() { 0x7E } else { 0x11 })
+                .collect();
+            frames.extend([random, dense, vec![0x7E; len]]);
+        }
+        for (i, hit_prob) in [0.0, 0.25, 0.7, 1.0].into_iter().enumerate() {
+            let seed = 0x5EED + i as u64;
+            let mut ch = JammerChannel::hdlc(hit_prob);
+            ch.reseed(seed);
+            let mut reference = rand::rngs::StdRng::seed_from_u64(seed);
+            for frame in &frames {
+                let mut lane_scanned = frame.clone();
+                let mut bytewise = frame.clone();
+                let flips = ch.corrupt(&mut lane_scanned);
+                let want = jammer_bytewise(0x7E, hit_prob, &mut reference, &mut bytewise);
+                let ctx = format!("len {} hit_prob {hit_prob}", frame.len());
+                assert_eq!(lane_scanned, bytewise, "{ctx}");
+                assert_eq!(flips, want, "{ctx}");
+                assert_eq!(
+                    ch.rng.clone().gen::<u64>(),
+                    reference.clone().gen::<u64>(),
+                    "RNG streams out of step: {ctx}"
+                );
+            }
+        }
     }
 
     #[test]

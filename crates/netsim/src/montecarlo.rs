@@ -489,7 +489,8 @@ pub(crate) fn produce_burst(
         buf.tags[i] = tag;
         let frame = &mut buf.frames[i];
         if eager {
-            frame.clear();
+            // No clear first: the fill overwrites every payload byte, so
+            // zeroing the reused prefix would be wasted work.
             frame.resize(payload_len, 0);
             streams.fill.fill(&mut frame[..]);
             codec.seal(frame);
