@@ -231,7 +231,12 @@ impl XorMultiMap {
 
     /// Removes every entry, keeping the allocations — this is what lets a
     /// workspace-owned MITM subset map persist across polynomial rebinds.
+    /// A map with nothing inserted since its last clear is already empty,
+    /// so clearing it again touches no memory.
     pub fn clear(&mut self) {
+        if self.len == 0 {
+            return;
+        }
         self.vals.fill(SLOT_EMPTY);
         self.screen.fill(0);
         self.len = 0;

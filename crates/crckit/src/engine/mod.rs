@@ -8,7 +8,7 @@
 //! | `Bitwise`      | shift register, one bit at a time      | reference / cross-validation |
 //! | `Bytewise`     | 256-entry table                        | tiny code+data footprint |
 //! | `Slice16`      | slicing-by-16, 32 KiB of tables        | software fast path |
-//! | `Clmul`        | carryless-multiply folding (PCLMULQDQ / PMULL) | bulk throughput |
+//! | `Clmul`        | carryless-multiply folding (PCLMULQDQ / PMULL, VPCLMULQDQ) | frames from 48 B up; slicing-by-16 below |
 //!
 //! [`Crc::new`] picks the fastest tier the host supports (runtime CPU
 //! feature detection, overridable with the `CRCKIT_FORCE_ENGINE`
@@ -124,7 +124,8 @@ pub struct Crc {
     /// width-dependent shifts in the inner loop. `tables[0]` doubles as
     /// the bytewise table.
     tables: Box<[[u64; 256]; 16]>,
-    /// Folding constants for the CLMUL tier, derived from `x^k mod G`.
+    /// Folding constants for the CLMUL tier, `x^k mod G` walked out of
+    /// `tables`.
     fold: fold::FoldTable,
     /// The tier [`Crc::checksum`] and [`crate::Digest`] run on.
     kind: EngineKind,
@@ -201,12 +202,14 @@ impl Crc {
                 }
             }
         }
-        Ok(Crc {
+        let mut crc = Crc {
             params,
             tables,
-            fold: fold::FoldTable::derive(&params),
+            fold: fold::FoldTable::default(),
             kind,
-        })
+        };
+        crc.fold = fold::FoldTable::derive(&crc);
+        Ok(crc)
     }
 
     /// The parameters this engine implements.
@@ -315,7 +318,12 @@ impl Crc {
                 }
                 state
             }
+            // Inputs too short to fold take slicing-by-16 on the CLMUL tier
+            // too, through the same call site.
             EngineKind::Slice16 => self.update_slice16_raw(state, bytes),
+            EngineKind::Clmul if bytes.len() < clmul::SMALL_FOLD => {
+                self.update_slice16_raw(state, bytes)
+            }
             EngineKind::Clmul => clmul::update(self, &self.fold, state, bytes),
         }
     }
@@ -398,7 +406,7 @@ impl Crc {
 
     /// Slicing-by-16 update: two independent 8-byte lookup chains per
     /// iteration, halving the loop-carried dependency length of slice-8.
-    fn update_slice16_raw(&self, mut state: u64, bytes: &[u8]) -> u64 {
+    pub(crate) fn update_slice16_raw(&self, mut state: u64, bytes: &[u8]) -> u64 {
         let mut chunks = bytes.chunks_exact(16);
         if self.params.refin {
             for chunk in &mut chunks {

@@ -30,22 +30,27 @@
 //! auto-selection process-wide; building with `--no-default-features`
 //! compiles the intrinsic kernels out entirely.
 //!
-//! | tier | technique | working set | measured GiB/s* |
+//! | tier | technique | working set | ns per call at 40 / 576 / 1514 B / 64 KiB* |
 //! |------|-----------|-------------|-----------------|
-//! | [`EngineKind::Bitwise`]  | shift register, 1 bit/step | none | 0.08 |
-//! | [`EngineKind::Bytewise`] | 256-entry table | 2 KiB | 0.33 |
-//! | [`EngineKind::Slice16`]  | slicing-by-16 | 32 KiB | 1.7 |
-//! | [`EngineKind::Clmul`]    | PCLMULQDQ/PMULL folding | 64 B of keys | 10–21 |
+//! | [`EngineKind::Bitwise`]  | shift register, 1 bit/step | none | 440 / 6,400 / 17,000 / 740,000 |
+//! | [`EngineKind::Bytewise`] | 256-entry table | 2 KiB | 65 / 1,500 / 4,000 / 180,000 |
+//! | [`EngineKind::Slice16`]  | slicing-by-16 | 32 KiB | 17 / 280 / 770 / 33,000 |
+//! | [`EngineKind::Clmul`]    | PCLMULQDQ/PMULL folding; 4×512-bit VPCLMULQDQ from 256 B | 544 B of keys | 17 / 22 / 35 / 960 |
 //!
-//! \* CRC-32/ISO-HDLC on 64 KiB buffers, one Skylake-class x86_64 core;
-//! regenerate with `cargo run --release -p crc-experiments --bin
-//! crc_throughput`, which also writes the machine-readable `BENCH_crc_throughput.json`.
+//! \* CRC-32/ISO-HDLC, one core of a 2-core AVX-512 Xeon in its faster
+//! speed mode; regenerate with `cargo run --release -p crc-experiments --bin
+//! crc_throughput`, which also writes the machine-readable
+//! `BENCH_crc_throughput.json`.
 //!
-//! The CLMUL tier derives its folding constants (`x^k mod G`) from
-//! `gf2poly` at construction, so *every* catalog polynomial — not just
-//! the CRC32 variants production libraries hardcode — gets hardware
-//! folding; on CPUs without carryless multiply it transparently runs a
-//! bit-identical portable software multiply.
+//! The CLMUL tier picks its kernel by input length and CPU: slicing-by-16
+//! below 48 bytes (where folding does not pay), one 128-bit accumulator
+//! from 48 bytes, four from 64, and on x86_64 hosts with AVX-512
+//! VPCLMULQDQ and GFNI four 512-bit accumulators from 256 bytes. It
+//! derives its folding constants (`x^k mod G`) from its own slicing
+//! tables at construction, so *every* catalog polynomial — not just the
+//! CRC32 variants production libraries hardcode — gets hardware folding,
+//! reflected or not; on CPUs without carryless multiply it transparently
+//! runs a bit-identical portable software multiply.
 
 // Unsafe is denied crate-wide and re-allowed in exactly one place: the
 // CPU-intrinsic kernels of `engine::clmul`, which are differentially

@@ -107,6 +107,37 @@ fn length_sweep_across_engine_thresholds() {
 }
 
 #[test]
+fn auto_dispatch_matches_bitwise_at_every_length_to_4096() {
+    // Every size crossover of the default tier (the one-accumulator fold
+    // start, the 64-byte four-accumulator loop, the 256-byte 512-bit
+    // loop) lies inside 0..=4096; the explicit ±1 lengths past 4096 pin
+    // the 512-bit loop's stride and tail boundaries at larger sizes.
+    let data = payload(4096 + 257, 10);
+    let lengths = (0..=4096).chain([
+        4096 + 63,
+        4096 + 64,
+        4096 + 65,
+        4096 + 255,
+        4096 + 256,
+        4096 + 257,
+    ]);
+    let lengths: Vec<usize> = lengths.collect();
+    for params in catalog::ALL {
+        let crc = Crc::new(params);
+        for &len in &lengths {
+            let slice = &data[..len];
+            assert_eq!(
+                crc.checksum(slice),
+                crc.checksum_bitwise(slice),
+                "{} len {len} on {}",
+                params.name,
+                crc.engine()
+            );
+        }
+    }
+}
+
+#[test]
 fn long_buffers_hit_the_bulk_paths() {
     // Long enough that CLMUL runs its 4-accumulator loop many times;
     // lengths ±1 around 64-byte multiples catch block-boundary bugs.

@@ -150,9 +150,9 @@ impl ModCtx {
 /// of a width-`width` CRC (`poly` in normal MSB-first notation).
 ///
 /// Carryless-multiply CRC engines (PCLMULQDQ / PMULL folding) consume
-/// these as their per-polynomial key schedule; deriving them here keeps
-/// the `x^k mod G` arithmetic in one exactly-tested place instead of
-/// being re-implemented per engine.
+/// these as their per-polynomial key schedule. crckit walks its schedule
+/// out of its own slicing tables, which is cheaper at construction, and
+/// tests it against this square-and-multiply derivation.
 ///
 /// Every returned constant fits the low `width` bits (degree `< width`).
 ///

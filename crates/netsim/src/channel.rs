@@ -450,8 +450,10 @@ impl Channel for FixedWeightChannel {
 /// order — one hit draw per sync byte, then one bit draw if it hits — so
 /// a seeded jammer's flips are a pure function of the frame and the seed.
 /// [`Channel::corrupt`] skips sync-free 32-byte lanes with one
-/// branch-free test each; that scan must never change which bytes draw
-/// or in what order.
+/// branch-free test each and, inside a lane that holds the sync byte,
+/// visits only the sync bytes through an exact zero-byte mask walked in
+/// ascending byte order; neither step may change which bytes draw or in
+/// what order.
 #[derive(Debug, Clone)]
 pub struct JammerChannel {
     sync: u8,
@@ -488,13 +490,42 @@ impl JammerChannel {
         self.sync
     }
 
+    /// Draws for one sync byte: a hit draw, then a bit draw if it hits.
+    /// Returns the flip count (0 or 1).
+    #[inline]
+    fn strike_byte(&mut self, byte: &mut u8) -> u32 {
+        if self.rng.gen::<f64>() < self.hit_prob {
+            *byte ^= 1 << self.rng.gen_range(0..8u32);
+            1
+        } else {
+            0
+        }
+    }
+
     /// The per-byte strike loop over `bytes`, returning the flip count.
     fn strike(&mut self, bytes: &mut [u8]) -> u32 {
         let mut flipped = 0;
         for byte in bytes {
-            if *byte == self.sync && self.rng.gen::<f64>() < self.hit_prob {
-                *byte ^= 1 << self.rng.gen_range(0..8u32);
-                flipped += 1;
+            if *byte == self.sync {
+                flipped += self.strike_byte(byte);
+            }
+        }
+        flipped
+    }
+
+    /// Strikes the sync bytes of one lane known to hold at least one.
+    /// Each 8-byte word is read little-endian, so ascending set bits of
+    /// its sync mask are ascending byte offsets: the draws land on the
+    /// same bytes in the same order as [`JammerChannel::strike`].
+    fn strike_lane(&mut self, lane: &mut [u8; JAM_LANE]) -> u32 {
+        let mut flipped = 0;
+        let (words, _) = lane.as_chunks_mut::<8>();
+        for word in words {
+            let mut hits = sync_mask(u64::from_le_bytes(*word), self.sync);
+            while hits != 0 {
+                let at = hits.trailing_zeros() as usize / 8;
+                flipped += self.strike_byte(&mut word[at]);
+                hits &= hits - 1;
             }
         }
         flipped
@@ -504,10 +535,24 @@ impl JammerChannel {
 /// Bytes per lane of the jammer's sync scan. On random payload about one
 /// byte in 256 is the sync byte, so most lanes hold none and cost one
 /// vectorized compare-and-OR instead of a branch per byte. On a 2-core
-/// AVX-512 Xeon, 16-byte lanes tied end to end; 64-byte lanes took about
-/// 1.5× as long per frame, and a SWAR `u64` zero-byte test and a
-/// bit-mask walk were slower too.
+/// AVX-512 Xeon, 16-byte lanes tied end to end and 64-byte lanes took
+/// about 1.5× as long per frame; a SWAR `u64` zero-byte test and a
+/// bit-mask walk were slower *as the lane test* — inside a lane that
+/// holds the sync byte, the mask walk ([`sync_mask`]) is what visits the
+/// hits.
 const JAM_LANE: usize = 32;
+
+/// The high bit of every byte of `word` equal to `sync`, and no other
+/// bit. Exact (no false positives from borrows): with `x = word ^
+/// splat(sync)`, `(x & 0x7F..) + 0x7F..` sets a byte's high bit iff its
+/// low seven bits are nonzero, and OR-ing `x` adds bytes whose own high
+/// bit is set, so only zero bytes of `x` end with the high bit clear.
+#[inline]
+fn sync_mask(word: u64, sync: u8) -> u64 {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    let x = word ^ u64::from_ne_bytes([sync; 8]);
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
 
 impl Channel for JammerChannel {
     fn corrupt(&mut self, frame: &mut Vec<u8>) -> u32 {
@@ -516,7 +561,7 @@ impl Channel for JammerChannel {
         let mut flipped = 0;
         for lane in lanes {
             if lane.iter().fold(false, |any, &b| any | (b == sync)) {
-                flipped += self.strike(lane);
+                flipped += self.strike_lane(lane);
             }
         }
         flipped + self.strike(tail)
@@ -1009,6 +1054,27 @@ mod tests {
                 .map(|_| if content.gen::<bool>() { 0x7E } else { 0x11 })
                 .collect();
             frames.extend([random, dense, vec![0x7E; len]]);
+        }
+        // The in-lane mask walk: a sync byte at every offset of a word and
+        // of a lane, on backgrounds of bytes one borrow or one bit away
+        // from it (a borrowing zero-byte test would flag their neighbours).
+        for bait in [0x7Fu8, 0xFE, 0x3E, 0x00, 0xFF] {
+            for at in 0..2 * JAM_LANE {
+                let mut lone = vec![bait; 2 * JAM_LANE + 5];
+                lone[at] = 0x7E;
+                frames.push(lone);
+            }
+            // Several sync bytes in one word: every 8-bit pattern, in the
+            // second word of the second lane.
+            for pattern in 0..=255u8 {
+                let mut multi = vec![bait; 2 * JAM_LANE + 5];
+                for bit in 0..8 {
+                    if pattern >> bit & 1 == 1 {
+                        multi[JAM_LANE + 8 + bit] = 0x7E;
+                    }
+                }
+                frames.push(multi);
+            }
         }
         for (i, hit_prob) in [0.0, 0.25, 0.7, 1.0].into_iter().enumerate() {
             let seed = 0x5EED + i as u64;

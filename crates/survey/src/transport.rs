@@ -900,7 +900,7 @@ impl WorkerTransport for TcpClient {
             .map_err(|e| Error::Io(format!("send to {}: {e}", self.addr)))?;
         self.stats.count_sent();
         let mut reply_line = Vec::new();
-        BufReader::new(&mut stream)
+        BufReader::new((&mut stream).take(MAX_LINE + 1))
             .read_until(b'\n', &mut reply_line)
             .map_err(|e| {
                 if matches!(
@@ -918,6 +918,12 @@ impl WorkerTransport for TcpClient {
         if reply_line.is_empty() {
             return Err(Error::Io(format!(
                 "coordinator at {} closed the connection",
+                self.addr
+            )));
+        }
+        if reply_line.last() != Some(&b'\n') && reply_line.len() as u64 > MAX_LINE {
+            return Err(Error::Io(format!(
+                "reply from {} exceeds {MAX_LINE} bytes without a line end",
                 self.addr
             )));
         }
@@ -991,20 +997,21 @@ impl TcpServer {
 /// a connection (Linux only; elsewhere the listener does not wait).
 pub(crate) const ACCEPT_WAIT: Duration = Duration::from_millis(10);
 
-/// Longest request line, in bytes before the `\n`, that the server reads.
-const MAX_REQUEST_LINE: u64 = 1 << 26;
+/// Longest request or reply line, in bytes before the `\n`, that either
+/// end of the TCP transport reads.
+const MAX_LINE: u64 = 1 << 26;
 
 /// Reads one `\n`-terminated line of raw bytes from a blocking stream
 /// (damaged frames may not be UTF-8; the framing layer decides). A line
-/// longer than [`MAX_REQUEST_LINE`] is an error.
+/// longer than [`MAX_LINE`] is an error.
 fn read_line_from(stream: &mut TcpStream, timeout: Duration) -> std::io::Result<Vec<u8>> {
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(timeout))?;
     let mut buf = Vec::new();
-    BufReader::new(stream.take(MAX_REQUEST_LINE + 1)).read_until(b'\n', &mut buf)?;
+    BufReader::new(stream.take(MAX_LINE + 1)).read_until(b'\n', &mut buf)?;
     if buf.last() == Some(&b'\n') {
         buf.pop();
-    } else if buf.len() as u64 > MAX_REQUEST_LINE {
+    } else if buf.len() as u64 > MAX_LINE {
         return Err(std::io::Error::other("request line too long"));
     }
     Ok(buf)
@@ -1321,7 +1328,7 @@ mod tests {
         // far, then drops the connection without a reply.
         let mut raw = TcpStream::connect(addr).unwrap();
         let chunk = vec![b'x'; 1 << 16];
-        let mut left = MAX_REQUEST_LINE + 1;
+        let mut left = MAX_LINE + 1;
         while left > 0 {
             let n = left.min(chunk.len() as u64) as usize;
             raw.write_all(&chunk[..n]).unwrap();
@@ -1337,6 +1344,52 @@ mod tests {
                     worker: "w1".into()
                 })
                 .unwrap(),
+            Reply::Welcome { .. }
+        ));
+        server_thread.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_client_rejects_overlong_replies_and_keeps_calling() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server_thread = std::thread::spawn(move || {
+            for overlong in [true, false] {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut request = Vec::new();
+                BufReader::new(&mut conn)
+                    .read_until(b'\n', &mut request)
+                    .unwrap();
+                if overlong {
+                    // One byte past the bound and no newline; the client
+                    // stops reading there, so the rest may not be sent.
+                    let chunk = vec![b'x'; 1 << 16];
+                    let mut left = MAX_LINE + 1 + (1 << 20);
+                    while left > 0 {
+                        let n = left.min(chunk.len() as u64) as usize;
+                        if conn.write_all(&chunk[..n]).is_err() {
+                            break;
+                        }
+                        left -= n as u64;
+                    }
+                } else {
+                    let reply = echo_handler(Request::Hello {
+                        worker: "w1".into(),
+                    });
+                    let mut line = frame::encode(&reply.to_json().render_compact());
+                    line.push('\n');
+                    conn.write_all(line.as_bytes()).unwrap();
+                }
+            }
+        });
+        let mut client = TcpClient::new(&addr.to_string()).with_timeout(Duration::from_secs(10));
+        let hello = Request::Hello {
+            worker: "w1".into(),
+        };
+        let err = client.call(&hello).unwrap_err();
+        assert!(err.to_string().contains("without a line end"), "{err}");
+        assert!(matches!(
+            client.call(&hello).unwrap(),
             Reply::Welcome { .. }
         ));
         server_thread.join().unwrap();
