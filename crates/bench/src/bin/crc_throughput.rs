@@ -2,7 +2,8 @@
 //!
 //! Measures every [`EngineKind`] and the auto dispatch of [`Crc::checksum`]
 //! on representative catalog algorithms at real frame sizes (16 B acks to
-//! 64 KiB buffers), prints ns per call and GiB/s tables, checks the
+//! 64 KiB buffers; 128 B is the one size in the 128-bit folding kernel's
+//! range on hosts that have the 512-bit one), prints ns per call and GiB/s tables, checks the
 //! acceptance gates, and writes `BENCH_crc_throughput.json` so the
 //! performance trajectory stays diffable from PR to PR. The gates:
 //!
@@ -10,7 +11,8 @@
 //!   supports it;
 //! * auto dispatch within 10% of the fastest single tier at every size;
 //! * the non-reflected CRC-32/BZIP2 at ≥ 0.9× the throughput of the
-//!   reflected CRC-32/ISO-HDLC (same generator) at 1514 B and 64 KiB.
+//!   reflected CRC-32/ISO-HDLC (same generator) at 128 B, 1514 B and
+//!   64 KiB.
 //!
 //! A missed gate prints a warning; shared hosts are too noisy to fail on.
 //! Each repetition measures every column once, round-robin, so a host
@@ -108,7 +110,7 @@ fn main() {
         catalog::CRC64_GO_ISO,
         catalog::CRC16_ARC, // the one narrow width
     ];
-    let sizes = [16usize, 40, 576, 1514, 65_536];
+    let sizes = [16usize, 40, 128, 576, 1514, 65_536];
 
     let clmul_hw = EngineKind::Clmul.is_hardware_accelerated();
     let default = Crc::new(catalog::CRC32_ISO_HDLC).engine();
@@ -194,7 +196,7 @@ fn main() {
         Crc::new(catalog::CRC32_ISO_HDLC),
         Crc::new(catalog::CRC32_BZIP2),
     );
-    for size in [1514usize, 65_536] {
+    for size in [128usize, 1514, 65_536] {
         let data: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
         let calls = calibrate(&iso, Column::Auto, &data);
         let ratios = (0..3 * reps.max(1))

@@ -140,11 +140,6 @@ const WIDE_EMPTY: u32 = u32::MAX;
 /// both markers and the sentinel for free).
 const WIDE_SPILL: u32 = 1 << 31;
 
-/// Longest cap a capped `d_min(2)` answers by scanning syndromes for the
-/// first `r(t) = 1`; longer caps factor the generator instead. The
-/// weight-3/4 scans at such a cap build the same syndromes anyway.
-const ORDER_SCAN_MAX: u32 = 1 << 16;
-
 /// How a workspace chooses its position index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexPolicy {
@@ -212,8 +207,6 @@ pub struct SyndromeWorkspace {
     /// `syn[i] = r(i)`; grow-only while bound.
     syn: Vec<u64>,
     order: Option<u128>,
-    /// No `0 < t ≤ order_above` has `r(t) = 1`: the order exceeds it.
-    order_above: u32,
     facts: [WeightFact; MEMO_WEIGHTS],
     kind: IndexKind,
     /// Positions `1..=indexed` are present in the active index.
@@ -270,7 +263,6 @@ impl SyndromeWorkspace {
             seq: None,
             syn: Vec::new(),
             order: None,
-            order_above: 0,
             facts: [WeightFact::Unknown; MEMO_WEIGHTS],
             kind: IndexKind::Hash,
             indexed: 0,
@@ -315,7 +307,6 @@ impl SyndromeWorkspace {
         self.syn.clear();
         self.syn16.clear();
         self.order = None;
-        self.order_above = 0;
         self.facts = [WeightFact::Unknown; MEMO_WEIGHTS];
         for state in self.mitm.iter_mut().flatten() {
             state.reset();
@@ -424,30 +415,6 @@ impl SyndromeWorkspace {
             self.order = Some(dmin2(self.g.as_ref().expect("workspace is bound")));
         }
         self.order.expect("just filled")
-    }
-
-    /// The order of `x` if it is at most `cap`. Up to [`ORDER_SCAN_MAX`]
-    /// this needs no factorization: the order is the first `t > 0` with
-    /// `r(t) = 1`, so the syndromes through `cap` settle the question,
-    /// and a hit is cached as the exact order.
-    fn order_within(&mut self, cap: u32) -> Option<u32> {
-        if self.order.is_none() && cap <= ORDER_SCAN_MAX {
-            if cap <= self.order_above {
-                return None;
-            }
-            self.ensure_syndromes(cap);
-            let from = self.order_above + 1;
-            let hit = self.syn[from as usize..=cap as usize]
-                .iter()
-                .position(|&v| v == 1);
-            let Some(i) = hit else {
-                self.order_above = cap;
-                return None;
-            };
-            self.order = Some(u128::from(from + i as u32));
-        }
-        let e = self.order_value();
-        (e <= u128::from(cap)).then_some(e as u32)
     }
 
     /// Exports every non-trivial `d_min` memo fact the binding to `g`
@@ -670,7 +637,12 @@ impl SyndromeWorkspace {
         }
         self.bind(g);
         if w == 2 {
-            return Ok(self.order_within(cap));
+            let e = self.order_value();
+            return Ok(if e <= cap as u128 {
+                Some(e as u32)
+            } else {
+                None
+            });
         }
         if g.divisible_by_x_plus_1() && w % 2 == 1 {
             return Ok(None);
@@ -809,7 +781,7 @@ impl SyndromeWorkspace {
 
     fn scan_mitm(&mut self, w: u32, cap: u32) -> Result<Option<u32>> {
         let probe_from = self.zero_below(w);
-        if w == 5 && self.kind != IndexKind::Hash && self.order_within(cap).is_none() {
+        if w == 5 && self.kind != IndexKind::Hash && (cap as u128) < self.order_value() {
             // Weight-5 specialization: the MITM a-side here is a
             // *singleton* map, and below the order (values distinct, so
             // first occurrences are the only occurrences) that map is
@@ -1296,7 +1268,7 @@ mod tests {
     }
 
     #[test]
-    fn capped_weight2_scan_matches_reference_and_keeps_the_order_exact() {
+    fn capped_weight2_matches_reference_and_keeps_the_order_exact() {
         for (width, koopman) in [(8u32, 0x83u64), (8, 0xEA), (13, 0x1021), (16, 0xC86C)] {
             let g = GenPoly::from_koopman(width, koopman).unwrap();
             let order = gf2poly::order_of_x(g.to_poly()).unwrap();

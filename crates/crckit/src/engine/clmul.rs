@@ -6,9 +6,8 @@
 //! ([`super::fold::FoldTable`]) and XORed with the next 16 bytes. By
 //! input length:
 //!
-//! * under [`SMALL_FOLD`] bytes the slicing engine runs alone — the fold
+//! * under [`MIN_FOLD`] bytes the slicing engine runs alone — the fold
 //!   set-up and drain cost more than they save;
-//! * from [`SMALL_FOLD`] one accumulator folds 16 bytes per step;
 //! * from [`MIN_FOLD`] four accumulators stride 64 bytes per step and
 //!   combine into one before the 16-byte tail steps;
 //! * from [`WIDE_FOLD`], on x86_64 hosts with AVX-512 VPCLMULQDQ and
@@ -51,14 +50,9 @@
 use super::fold::{FoldTable, Keys};
 use super::Crc;
 
-/// Shortest input the fold runs on; shorter inputs go straight to
-/// slicing-by-16. Measured on a 2-core AVX-512 Xeon with CRC-32: at 32
-/// and 40 bytes slicing-by-16 is about 1 ns faster than the
-/// one-accumulator fold, at 48 bytes the fold is 3–4 ns faster.
-pub(crate) const SMALL_FOLD: usize = 48;
-
-/// Shortest input the four-accumulator 64-byte loop runs on.
-const MIN_FOLD: usize = 64;
+/// Shortest input the fold runs on (one 64-byte block for the four
+/// accumulators); shorter inputs go straight to slicing-by-16.
+pub(crate) const MIN_FOLD: usize = 64;
 
 /// Shortest input the 4×512-bit loop runs on, where the host has it.
 #[cfg_attr(not(all(feature = "clmul", target_arch = "x86_64")), allow(dead_code))]
@@ -79,28 +73,37 @@ pub(crate) fn hardware_available() -> bool {
     false
 }
 
-/// Advances a raw state over `bytes` (at least [`SMALL_FOLD`] of them)
-/// on the CLMUL tier.
+/// Whether this host can run the 4×512-bit kernel.
+#[cfg(all(feature = "clmul", target_arch = "x86_64"))]
+pub(crate) fn wide_available() -> bool {
+    hardware_available() && x86::wide_available()
+}
+
+/// Advances a raw state over `bytes` (at least [`MIN_FOLD`] of them) on
+/// the CLMUL tier.
 pub(crate) fn update(crc: &Crc, ft: &FoldTable, state: u64, bytes: &[u8]) -> u64 {
-    debug_assert!(bytes.len() >= SMALL_FOLD);
+    debug_assert!(bytes.len() >= MIN_FOLD);
     let refin = crc.params().refin;
     let (virt, consumed) = fold_bulk(ft, refin, state, bytes);
     let mid = crc.update_slice16_raw(0, &virt);
     crc.update_raw(mid, &bytes[consumed..])
 }
 
-/// Folds the whole 16-byte chunks of `bytes` (at least 16 bytes; the
-/// 512-bit kernel also shifts in a partial last chunk), with `state`
-/// pre-XORed into the first 8 message bytes. Returns the 16 virtual
+/// Folds the whole 16-byte chunks of `bytes` (at least [`MIN_FOLD`]
+/// bytes; the 512-bit kernel also shifts in a partial last chunk), with
+/// `state` pre-XORed into the first 8 message bytes. Returns the 16 virtual
 /// message bytes the residue serializes to, and how many input bytes
 /// were consumed.
 fn fold_bulk(ft: &FoldTable, refin: bool, state: u64, bytes: &[u8]) -> ([u8; 16], usize) {
     #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
     if hardware_available() {
-        if bytes.len() >= WIDE_FOLD && x86::wide_available() {
-            return x86::fold_wide_detected(&ft.wide, refin, state, bytes);
-        }
-        return x86::fold_detected(&ft.keys, refin, state, bytes);
+        // `wide` is only derived where the 512-bit kernel can run.
+        return match &ft.wide {
+            Some(wide) if bytes.len() >= WIDE_FOLD => {
+                x86::fold_wide_detected(wide, refin, state, bytes)
+            }
+            _ => x86::fold_detected(&ft.keys, refin, state, bytes),
+        };
     }
     #[cfg(all(feature = "clmul", target_arch = "aarch64"))]
     if hardware_available() {
@@ -174,7 +177,7 @@ fn fold_generic<B: Backend>(
     state: u64,
     bytes: &[u8],
 ) -> ([u8; 16], usize) {
-    debug_assert!(bytes.len() >= 16);
+    debug_assert!(bytes.len() >= MIN_FOLD);
     // In the reflected domain the 127-bit product's low integer bits are
     // the high polynomial degrees; in the normal domain the high bits are.
     let split = |p: u128| -> Acc {
@@ -192,34 +195,27 @@ fn fold_generic<B: Backend>(
     };
     let fold = |acc: Acc, k: (u64, u64)| split(B::mul(acc.hi, k.0) ^ B::mul(acc.lo, k.1));
 
-    let (mut s, mut pos) = if bytes.len() >= MIN_FOLD {
-        let mut acc = [
-            load(refin, &bytes[0..16]),
-            load(refin, &bytes[16..32]),
-            load(refin, &bytes[32..48]),
-            load(refin, &bytes[48..64]),
-        ];
-        acc[0].hi ^= state;
-        let mut pos = 64;
-        while pos + 64 <= bytes.len() {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = xor(
-                    fold(*a, keys.k[4]),
-                    load(refin, &bytes[pos + 16 * i..pos + 16 * i + 16]),
-                );
-            }
-            pos += 64;
+    let mut acc = [
+        load(refin, &bytes[0..16]),
+        load(refin, &bytes[16..32]),
+        load(refin, &bytes[32..48]),
+        load(refin, &bytes[48..64]),
+    ];
+    acc[0].hi ^= state;
+    let mut pos = 64;
+    while pos + 64 <= bytes.len() {
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = xor(
+                fold(*a, keys.k[4]),
+                load(refin, &bytes[pos + 16 * i..pos + 16 * i + 16]),
+            );
         }
-        let s = xor(
-            xor(fold(acc[0], keys.k[3]), fold(acc[1], keys.k[2])),
-            xor(fold(acc[2], keys.k[1]), acc[3]),
-        );
-        (s, pos)
-    } else {
-        let mut s = load(refin, &bytes[0..16]);
-        s.hi ^= state;
-        (s, 16)
-    };
+        pos += 64;
+    }
+    let mut s = xor(
+        xor(fold(acc[0], keys.k[3]), fold(acc[1], keys.k[2])),
+        xor(fold(acc[2], keys.k[1]), acc[3]),
+    );
     while pos + 16 <= bytes.len() {
         s = xor(fold(s, keys.k[1]), load(refin, &bytes[pos..pos + 16]));
         pos += 16;
@@ -274,8 +270,8 @@ mod x86 {
     }
 
     /// Safe wrapper for the 512-bit kernel: callers guarantee
-    /// [`super::hardware_available`] and [`wide_available`] returned
-    /// true. `keys` is the reflected-domain schedule.
+    /// [`super::wide_available`] returned true. `keys` is the
+    /// reflected-domain schedule.
     pub(super) fn fold_wide_detected(
         keys: &Keys,
         refin: bool,
@@ -339,24 +335,6 @@ mod x86 {
         )
     }
 
-    /// The 16-byte steps after the accumulators combine: folds every
-    /// remaining whole chunk into `s`.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "ssse3")]
-    unsafe fn tail<const BSWAP: bool>(
-        keys: &Keys,
-        mut s: __m128i,
-        mut pos: usize,
-        bytes: &[u8],
-    ) -> (__m128i, usize) {
-        let k128 = key::<BSWAP>(keys.k[1]);
-        while pos + 16 <= bytes.len() {
-            s = _mm_xor_si128(fold1(s, k128), load::<BSWAP>(bytes, pos));
-            pos += 16;
-        }
-        (s, pos)
-    }
-
     /// Stores a register as 16 bytes, lane 0 first.
     #[inline]
     #[target_feature(enable = "sse2")]
@@ -375,7 +353,7 @@ mod x86 {
         bytes: &[u8],
     ) -> ([u8; 16], usize) {
         let n = bytes.len();
-        debug_assert!(n >= 16);
+        debug_assert!(n >= super::MIN_FOLD);
         // The state XORs into the first 8 message bytes: the low lane when
         // reflected, the high lane after the byte reversal.
         let state = if BSWAP {
@@ -383,32 +361,31 @@ mod x86 {
         } else {
             _mm_set_epi64x(0, state as i64)
         };
-        let first = _mm_xor_si128(load::<BSWAP>(bytes, 0), state);
-        let (s, pos) = if n < super::MIN_FOLD {
-            tail::<BSWAP>(keys, first, 16, bytes)
-        } else {
-            let k512 = key::<BSWAP>(keys.k[4]);
-            let mut a0 = first;
-            let mut a1 = load::<BSWAP>(bytes, 16);
-            let mut a2 = load::<BSWAP>(bytes, 32);
-            let mut a3 = load::<BSWAP>(bytes, 48);
-            let mut pos = 64usize;
-            while pos + 64 <= n {
-                a0 = _mm_xor_si128(fold1(a0, k512), load::<BSWAP>(bytes, pos));
-                a1 = _mm_xor_si128(fold1(a1, k512), load::<BSWAP>(bytes, pos + 16));
-                a2 = _mm_xor_si128(fold1(a2, k512), load::<BSWAP>(bytes, pos + 32));
-                a3 = _mm_xor_si128(fold1(a3, k512), load::<BSWAP>(bytes, pos + 48));
-                pos += 64;
-            }
-            let s = _mm_xor_si128(
-                _mm_xor_si128(
-                    fold1(a0, key::<BSWAP>(keys.k[3])),
-                    fold1(a1, key::<BSWAP>(keys.k[2])),
-                ),
-                _mm_xor_si128(fold1(a2, key::<BSWAP>(keys.k[1])), a3),
-            );
-            tail::<BSWAP>(keys, s, pos, bytes)
-        };
+        let k512 = key::<BSWAP>(keys.k[4]);
+        let mut a0 = _mm_xor_si128(load::<BSWAP>(bytes, 0), state);
+        let mut a1 = load::<BSWAP>(bytes, 16);
+        let mut a2 = load::<BSWAP>(bytes, 32);
+        let mut a3 = load::<BSWAP>(bytes, 48);
+        let mut pos = 64usize;
+        while pos + 64 <= n {
+            a0 = _mm_xor_si128(fold1(a0, k512), load::<BSWAP>(bytes, pos));
+            a1 = _mm_xor_si128(fold1(a1, k512), load::<BSWAP>(bytes, pos + 16));
+            a2 = _mm_xor_si128(fold1(a2, k512), load::<BSWAP>(bytes, pos + 32));
+            a3 = _mm_xor_si128(fold1(a3, k512), load::<BSWAP>(bytes, pos + 48));
+            pos += 64;
+        }
+        let k128 = key::<BSWAP>(keys.k[1]);
+        let mut s = _mm_xor_si128(
+            _mm_xor_si128(
+                fold1(a0, key::<BSWAP>(keys.k[3])),
+                fold1(a1, key::<BSWAP>(keys.k[2])),
+            ),
+            _mm_xor_si128(fold1(a2, k128), a3),
+        );
+        while pos + 16 <= n {
+            s = _mm_xor_si128(fold1(s, k128), load::<BSWAP>(bytes, pos));
+            pos += 16;
+        }
         // Non-reflected: the reversal back gives the big-endian halves.
         let s = if BSWAP {
             _mm_shuffle_epi8(s, reverse_bytes())
@@ -663,9 +640,7 @@ mod tests {
         ] {
             let crc = crate::Crc::new(params);
             let keys = &crc.fold.keys;
-            for len in [
-                16usize, 17, 31, 32, 48, 63, 64, 65, 79, 80, 128, 129, 1024, 4096,
-            ] {
+            for len in [64usize, 65, 79, 80, 127, 128, 129, 255, 256, 1024, 4096] {
                 let bytes = &data[..len];
                 let state = crc.init_raw();
                 let (virt, consumed) = fold_generic::<Soft>(keys, params.refin, state, bytes);
@@ -697,9 +672,7 @@ mod tests {
             let crc = crate::Crc::new(params);
             let ft = &crc.fold;
             let keys = &ft.keys;
-            let lengths = [
-                16usize, 17, 47, 48, 63, 64, 96, 100, 255, 256, 257, 271, 272,
-            ];
+            let lengths = [64usize, 65, 96, 100, 127, 128, 255, 256, 257, 271, 272];
             let lengths = lengths
                 .into_iter()
                 .chain([319, 320, 383, 447, 511, 512, 777, 1514, 2048]);
@@ -717,9 +690,9 @@ mod tests {
                 // The 512-bit kernel folds in another order: its residue
                 // is only congruent, so compare checksums.
                 #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
-                if len >= WIDE_FOLD && x86::wide_available() {
+                if let Some(wide) = ft.wide.as_ref().filter(|_| len >= WIDE_FOLD) {
                     let (virt, consumed) =
-                        x86::fold_wide_detected(&ft.wide, params.refin, state, bytes);
+                        x86::fold_wide_detected(wide, params.refin, state, bytes);
                     // It also shifts in a partial last chunk.
                     assert_eq!(consumed, len, "{} len {len}", params.name);
                     let wide = crc.finalize_raw(crc.update_raw(0, &virt));
@@ -737,7 +710,7 @@ mod tests {
     #[test]
     fn clmul_tier_handles_short_inputs_via_slicing() {
         let crc = crate::Crc::new(catalog::CRC32_ISCSI);
-        for len in 0..SMALL_FOLD {
+        for len in 0..MIN_FOLD {
             let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
             assert_eq!(
                 crc.checksum_with(EngineKind::Clmul, &data),

@@ -33,6 +33,12 @@ pub(crate) struct Keys {
 }
 
 impl Keys {
+    /// The schedule of `crc`'s generator in the reflected domain if
+    /// `reflected`, else in the normal domain.
+    fn derive(crc: &Crc, reflected: bool) -> Keys {
+        Keys::from_residues(&residues(crc, u32::from(reflected)), reflected)
+    }
+
     /// The schedule from `r[j] = x^(64·j − δ) mod G` (low-aligned).
     fn from_residues(r: &[u64; 34], reflected: bool) -> Keys {
         let adjust = |v: u64| if reflected { v.reverse_bits() } else { v };
@@ -44,9 +50,8 @@ impl Keys {
     }
 }
 
-/// Both schedules a [`Crc`] folds with.
+/// The schedules a [`Crc`] folds with.
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(not(all(feature = "clmul", target_arch = "x86_64")), allow(dead_code))]
 pub(crate) struct FoldTable {
     /// The schedule in the algorithm's own domain, for the 128-bit and
     /// portable kernels.
@@ -54,8 +59,9 @@ pub(crate) struct FoldTable {
     /// The reflected-domain schedule of the same generator, for the
     /// 512-bit kernel, which runs every algorithm reflected (it
     /// bit-reverses the bytes of non-reflected ones). Equal to `keys` for
-    /// reflected algorithms.
-    pub wide: Keys,
+    /// reflected algorithms; `None` on hosts that cannot run that kernel.
+    #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
+    pub wide: Option<Keys>,
 }
 
 impl FoldTable {
@@ -63,13 +69,18 @@ impl FoldTable {
     /// be built.
     pub(crate) fn derive(crc: &Crc) -> FoldTable {
         let refin = crc.params().refin;
-        let keys = Keys::from_residues(&residues(crc, u32::from(refin)), refin);
-        let wide = if refin {
-            keys
-        } else {
-            Keys::from_residues(&residues(crc, 1), true)
-        };
-        FoldTable { keys, wide }
+        let keys = Keys::derive(crc, refin);
+        FoldTable {
+            keys,
+            #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
+            wide: super::clmul::wide_available().then(|| {
+                if refin {
+                    keys
+                } else {
+                    Keys::derive(crc, true)
+                }
+            }),
+        }
     }
 }
 
@@ -136,8 +147,13 @@ mod tests {
         for params in crate::catalog::ALL.into_iter().chain(odd_widths) {
             for refl in [false, true] {
                 let params = params.reflected(refl);
-                let ft = FoldTable::derive(&Crc::new(params));
-                for (keys, domain) in [(ft.keys, params), (ft.wide, params.reflected(true))] {
+                let crc = Crc::new(params);
+                assert_eq!(FoldTable::derive(&crc).keys.k, Keys::derive(&crc, refl).k);
+                // Both domains from either table orientation: the
+                // algorithm's own, and the reflected one the 512-bit
+                // kernel folds in.
+                for domain in [params, params.reflected(true)] {
+                    let keys = Keys::derive(&crc, domain.refin);
                     for (t, &got) in keys.k.iter().enumerate().skip(1) {
                         let d = 128 * t as u64;
                         let want = oracle(&domain, d);
@@ -151,12 +167,17 @@ mod tests {
     #[test]
     fn reflected_constants_are_bit_reversals_of_shifted_exponents() {
         let refl = FoldTable::derive(&Crc::new(crate::catalog::CRC32_ISO_HDLC)).keys;
-        let norm = FoldTable::derive(&Crc::new(crate::catalog::CRC32_BZIP2));
+        let bzip2 = Crc::new(crate::catalog::CRC32_BZIP2);
         assert_eq!(
-            norm.wide.k, refl.k,
+            Keys::derive(&bzip2, true).k,
+            refl.k,
             "the 512-bit kernel runs BZIP2 reflected"
         );
-        let norm = norm.keys;
+        #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
+        if let Some(wide) = FoldTable::derive(&bzip2).wide {
+            assert_eq!(wide.k, refl.k);
+        }
+        let norm = FoldTable::derive(&bzip2).keys;
         // Same polynomial: the reflected schedule must be the bit-reversal
         // of the normal schedule's exponent-shifted counterpart.
         let shifted =

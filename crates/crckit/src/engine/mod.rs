@@ -8,7 +8,7 @@
 //! | `Bitwise`      | shift register, one bit at a time      | reference / cross-validation |
 //! | `Bytewise`     | 256-entry table                        | tiny code+data footprint |
 //! | `Slice16`      | slicing-by-16, 32 KiB of tables        | software fast path |
-//! | `Clmul`        | carryless-multiply folding (PCLMULQDQ / PMULL, VPCLMULQDQ) | frames from 48 B up; slicing-by-16 below |
+//! | `Clmul`        | carryless-multiply folding (PCLMULQDQ / PMULL, VPCLMULQDQ) | frames from 64 B up; slicing-by-16 below |
 //!
 //! [`Crc::new`] picks the fastest tier the host supports (runtime CPU
 //! feature detection, overridable with the `CRCKIT_FORCE_ENGINE`
@@ -321,7 +321,7 @@ impl Crc {
             // Inputs too short to fold take slicing-by-16 on the CLMUL tier
             // too, through the same call site.
             EngineKind::Slice16 => self.update_slice16_raw(state, bytes),
-            EngineKind::Clmul if bytes.len() < clmul::SMALL_FOLD => {
+            EngineKind::Clmul if bytes.len() < clmul::MIN_FOLD => {
                 self.update_slice16_raw(state, bytes)
             }
             EngineKind::Clmul => clmul::update(self, &self.fold, state, bytes),

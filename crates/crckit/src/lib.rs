@@ -43,8 +43,8 @@
 //! `BENCH_crc_throughput.json`.
 //!
 //! The CLMUL tier picks its kernel by input length and CPU: slicing-by-16
-//! below 48 bytes (where folding does not pay), one 128-bit accumulator
-//! from 48 bytes, four from 64, and on x86_64 hosts with AVX-512
+//! below 64 bytes (where folding does not pay), four 128-bit accumulators
+//! from 64 bytes, and on x86_64 hosts with AVX-512
 //! VPCLMULQDQ and GFNI four 512-bit accumulators from 256 bytes. It
 //! derives its folding constants (`x^k mod G`) from its own slicing
 //! tables at construction, so *every* catalog polynomial — not just the

@@ -108,9 +108,8 @@ fn length_sweep_across_engine_thresholds() {
 
 #[test]
 fn auto_dispatch_matches_bitwise_at_every_length_to_4096() {
-    // Every size crossover of the default tier (the one-accumulator fold
-    // start, the 64-byte four-accumulator loop, the 256-byte 512-bit
-    // loop) lies inside 0..=4096; the explicit ±1 lengths past 4096 pin
+    // Every size crossover of the default tier (the 64-byte fold start,
+    // the 256-byte 512-bit loop) lies inside 0..=4096; the explicit ±1 lengths past 4096 pin
     // the 512-bit loop's stride and tail boundaries at larger sizes.
     let data = payload(4096 + 257, 10);
     let lengths = (0..=4096).chain([
