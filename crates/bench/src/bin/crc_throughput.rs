@@ -1,6 +1,6 @@
 //! Engine-tier throughput measurement with a machine-readable trail.
 //!
-//! Measures every [`EngineKind`] and the auto dispatch of [`Crc::checksum`]
+//! Measures both [`EngineKind`] tiers and the auto dispatch of [`Crc::checksum`]
 //! on representative catalog algorithms at real frame sizes (16 B acks to
 //! 64 KiB buffers; 128 B is the one size in the 128-bit folding kernel's
 //! range on hosts that have the 512-bit one), prints ns per call and GiB/s tables, checks the
@@ -37,9 +37,7 @@ enum Column {
 }
 
 impl Column {
-    const ALL: [Column; 5] = [
-        Column::Tier(EngineKind::Bitwise),
-        Column::Tier(EngineKind::Bytewise),
+    const ALL: [Column; 3] = [
         Column::Tier(EngineKind::Slice16),
         Column::Tier(EngineKind::Clmul),
         Column::Auto,
@@ -135,14 +133,9 @@ fn main() {
                 .collect();
             let mut times = vec![Vec::new(); Column::ALL.len()];
             let mut auto_vs_best = Vec::new();
-            for rep in 0..reps.max(1) {
+            for _ in 0..reps.max(1) {
                 let mut best = f64::MAX;
                 for (i, &column) in Column::ALL.iter().enumerate() {
-                    // The bitwise reference is ~100× slower: one
-                    // calibrated sample tells the story.
-                    if column == Column::Tier(EngineKind::Bitwise) && rep > 0 {
-                        continue;
-                    }
                     let ns = batch(&crc, column, &data, calls[i]);
                     times[i].push(ns);
                     if column == Column::Auto {

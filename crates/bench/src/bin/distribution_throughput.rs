@@ -148,12 +148,6 @@ fn main() {
     writeln!(json, "  \"unit\": \"ms/poly\",").unwrap();
     writeln!(json, "  \"survey_width\": 13,").unwrap();
     writeln!(json, "  \"survey_len\": 1024,").unwrap();
-    writeln!(
-        json,
-        "  \"clmul_active\": {},",
-        crc_hd::gf2x::clmul_active()
-    )
-    .unwrap();
     writeln!(json, "  \"results\": [").unwrap();
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };

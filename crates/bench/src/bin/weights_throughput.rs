@@ -241,12 +241,6 @@ fn main() {
     writeln!(json, "  \"mtu_bits\": {MTU_BITS},").unwrap();
     writeln!(json, "  \"survey_width\": 13,").unwrap();
     writeln!(json, "  \"survey_len\": 1024,").unwrap();
-    writeln!(
-        json,
-        "  \"clmul_active\": {},",
-        crc_hd::gf2x::clmul_active()
-    )
-    .unwrap();
     writeln!(json, "  \"survey_kernel_speedup\": {survey_speedup:.3},").unwrap();
     writeln!(json, "  \"mtu_kernel_speedup\": {mtu_kernel_speedup:.3},").unwrap();
     writeln!(

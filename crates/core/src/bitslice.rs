@@ -1,5 +1,5 @@
 //! Bitsliced syndrome blocks: 64 consecutive positions per machine word
-//! per bit-plane, extended by carryless-multiply anchor jumps.
+//! per bit-plane, extended by `x⁶⁴ mod G` anchor jumps.
 //!
 //! The serial stepper ([`crate::syndrome::SyndromeSeq`]) advances one
 //! position per shift/XOR — a loop-carried dependence that caps
@@ -9,15 +9,14 @@
 //! most `width` precomputed *basis rows* (the bit-planes of
 //! `r(j)..r(j+63)`), selected by the bits of the block's anchor value —
 //! `width²` independent word-XORs per 64 positions instead of 64
-//! dependent steps. Anchors advance by one Barrett-reduced carryless
-//! multiply with `x⁶⁴ mod G` per block ([`crate::gf2x`], hardware
-//! `pclmulqdq` when available). Output is bit-identical to serial
+//! dependent steps. Anchors advance by one multiply with `x⁶⁴ mod G`
+//! per block in [`gf2poly::ModCtx`]. Output is bit-identical to serial
 //! stepping; consumers see the same plain `syn` table, merely grown in
 //! blocks (with up to 63 positions of overshoot their explicit bounds
 //! already tolerate).
 
 use crate::genpoly::GenPoly;
-use crate::gf2x::Gf2Mod;
+use gf2poly::{ModCtx, Poly};
 
 /// Serial positions required before block extension can start: the
 /// basis needs `r(0)..r(width-1+63)`, and two aligned 64-word
@@ -55,9 +54,9 @@ pub fn transpose64(a: &[u64; 64]) -> [u64; 64] {
 #[derive(Debug, Clone)]
 pub struct PlaneState {
     width: usize,
-    ctx: Gf2Mod,
+    ctx: ModCtx,
     /// `x⁶⁴ mod G`: advances a block anchor in one modmul.
-    leap: u64,
+    leap: Poly,
     /// `basis[j·width + b]` = bit-plane `b` of `r(j)..r(j+63)`; the
     /// block at anchor `a` is the XOR of rows `j` with bit `j` of `a`
     /// set.
@@ -70,7 +69,7 @@ impl PlaneState {
     pub fn new(g: &GenPoly, syn_prefix: &[u64]) -> PlaneState {
         assert!(syn_prefix.len() >= BASIS_PREFIX, "serial prefix too short");
         let width = g.width() as usize;
-        let ctx = Gf2Mod::new(g.width(), g.normal());
+        let ctx = ModCtx::new(g.to_poly()).expect("generator has degree >= 1");
         let leap = ctx.x_pow(64);
         let mut w: [u64; 64] = syn_prefix[..64].try_into().expect("64 words");
         let p0 = transpose64(&w);
@@ -104,7 +103,8 @@ impl PlaneState {
         debug_assert!(syn.len() >= BASIS_PREFIX);
         while syn.len() <= upto {
             let base = syn.len();
-            let anchor = self.ctx.mulmod(syn[base - 64], self.leap);
+            let prev = Poly::from_mask(u128::from(syn[base - 64]));
+            let anchor = self.ctx.mul(self.leap, prev).mask() as u64;
             let mut blk = [0u64; 64];
             let mut a = anchor;
             while a != 0 {

@@ -27,8 +27,8 @@
 //! Both halves run on the crate's bitsliced GF(2) kernels:
 //!
 //! * The syndrome table grows through [`crate::bitslice::PlaneState`]
-//!   (64 positions per carryless-multiply anchor step, Barrett modmul
-//!   from [`crate::gf2x`]) past the serial
+//!   (64 positions per anchor step, one [`gf2poly::ModCtx`] multiply
+//!   each) past the serial
 //!   [`crate::bitslice::BASIS_PREFIX`].
 //! * For widths ≤ [`FWHT_MAX_WIDTH`] the dual sweep collapses to a
 //!   syndrome histogram plus an in-place fast Walsh–Hadamard transform
@@ -851,7 +851,7 @@ fn cost_estimate(width: u32, l: u128) -> u128 {
 ///
 /// [`Error::BadLength`] for `data_len == 0`;
 /// [`Error::UnsupportedWidth`] past width 32 (the dual sweep
-/// enumerates `2^width` masks on the Barrett-modmul kernels);
+/// enumerates `2^width` masks on the bitsliced kernels);
 /// [`Error::BudgetExceeded`] when the cost estimate exceeds the budget.
 ///
 /// ```

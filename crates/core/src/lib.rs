@@ -102,7 +102,7 @@
 //! bitsliced kernels (a histogram + fast Walsh–Hadamard transform for
 //! widths ≤ 20, carry-save bit-plane counters with a [`bitslice::transpose64`]
 //! extraction beyond), with the table itself grown block-wise through
-//! [`bitslice::PlaneState`] and the [`gf2x`] Barrett modmul. The
+//! [`bitslice::PlaneState`] and [`gf2poly::ModCtx`] anchor jumps. The
 //! MacWilliams identity then transfers the dual histogram to the code's
 //! own `W₀..W_{n+r}` via a Horner recursion — one polynomial
 //! state-update per length step, `O(r·2^r + L³)` total instead of `2ⁿ`.
@@ -128,9 +128,7 @@
 //! assert_eq!(profile.hd_at(3000), Some(6));
 //! ```
 
-// `deny` rather than `forbid`: the CLMUL kernel in [`gf2x`] re-allows it
-// in exactly one feature-gated module, crckit-style.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitslice;
@@ -139,7 +137,6 @@ pub mod distribution;
 pub mod dmin;
 pub mod filter;
 pub mod genpoly;
-pub mod gf2x;
 pub mod posmap;
 pub mod profile;
 pub mod reference;

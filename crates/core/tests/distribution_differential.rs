@@ -6,8 +6,7 @@
 //!
 //! Fast cases run everywhere; the exhaustive sweeps and the 802.3
 //! boundary reproduction are `#[ignore]`d and driven by the release CI
-//! job `distribution-equivalence` (with `CRC_HD_FORCE_GF2=soft` pinned
-//! so the soft-multiply syndrome growth is the path under test).
+//! job `distribution-equivalence`.
 
 use crc_hd::distribution::{distribution, distribution_with_limit};
 use crc_hd::spectrum::{spectrum, MAX_SPECTRUM_LEN};

@@ -37,9 +37,11 @@
 //! * x86_64 `pclmulqdq` (`_mm_clmulepi64_si128`), selected by runtime
 //!   feature detection (and `vpclmulqdq` for the 512-bit loop);
 //! * aarch64 `pmull` (`vmull_p64`), likewise;
-//! * a portable software carryless multiply, used when the CPU lacks the
-//!   instruction or the `clmul` cargo feature is disabled — bit-identical
-//!   output, so [`super::EngineKind::Clmul`] is correct everywhere.
+//! * a portable software carryless multiply, which runs only when
+//!   [`super::EngineKind::Clmul`] is pinned on a CPU without the
+//!   instruction or in a build without the `clmul` cargo feature
+//!   (auto-selection picks slicing-by-16 there) — bit-identical output,
+//!   so a pinned `Clmul` is correct everywhere.
 //!
 //! Correctness of the drain rests on two facts the test suite pins down:
 //! from a zero raw state the slicing engine's state is a function of the

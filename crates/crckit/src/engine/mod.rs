@@ -1,29 +1,28 @@
-//! The pluggable multi-tier CRC engine.
+//! The pluggable CRC engine.
 //!
-//! One [`Crc`] value owns everything needed to run any of four engine
-//! tiers over the same parameter set:
+//! One [`Crc`] value owns everything needed to run either engine tier
+//! over the same parameter set:
 //!
 //! | [`EngineKind`] | technique                              | use case |
 //! |----------------|----------------------------------------|----------|
-//! | `Bitwise`      | shift register, one bit at a time      | reference / cross-validation |
-//! | `Bytewise`     | 256-entry table                        | tiny code+data footprint |
-//! | `Slice16`      | slicing-by-16, 32 KiB of tables        | software fast path |
+//! | `Slice16`      | slicing-by-16, 32 KiB of tables        | CPUs without carryless multiply |
 //! | `Clmul`        | carryless-multiply folding (PCLMULQDQ / PMULL, VPCLMULQDQ) | frames from 64 B up; slicing-by-16 below |
 //!
-//! [`Crc::new`] picks the fastest tier the host supports (runtime CPU
-//! feature detection, overridable with the `CRCKIT_FORCE_ENGINE`
-//! environment variable); [`Crc::checksum_with`] runs a specific tier for
-//! benchmarking and cross-validation — the paper's §4.5 "comparing
-//! answers obtained with simple code to optimized code" methodology.
+//! [`Crc::new`] picks the tier from the host's CPU flags alone: `Clmul`
+//! where the CPU has a carryless multiply, else `Slice16`. Within `Clmul`
+//! the kernel follows input length. [`Crc::checksum_bitwise`] is the one
+//! free-standing bit-at-a-time oracle; [`Crc::checksum_with`] runs a
+//! specific tier for benchmarking and cross-validation against it — the
+//! paper's §4.5 "comparing answers obtained with simple code to
+//! optimized code" methodology.
 //!
-//! All tiers share one raw-state representation (the slicing state
+//! Both tiers share one raw-state representation (the slicing state
 //! convention), so [`crate::Digest`] streaming picks up the fast paths
-//! transparently and every tier can resume another's state.
+//! transparently and either tier can resume the other's state.
 
 use crate::params::CrcParams;
 use crate::Result;
 use std::fmt;
-use std::str::FromStr;
 
 mod clmul;
 mod fold;
@@ -31,45 +30,35 @@ mod fold;
 /// Identifies one of the interchangeable computation strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Bit-at-a-time shift register — the validation reference.
-    Bitwise,
-    /// One 256-entry table, a byte at a time.
-    Bytewise,
     /// Slicing-by-16: sixteen tables, 16 input bytes per step.
     Slice16,
-    /// Carryless-multiply folding (x86_64 `pclmulqdq`, aarch64 `pmull`),
-    /// with a bit-identical portable software fallback when the CPU lacks
-    /// the instruction.
+    /// Carryless-multiply folding (x86_64 `pclmulqdq`, aarch64 `pmull`).
+    /// Auto-selection picks it only where the CPU has the instruction;
+    /// pinned on a CPU without it (or in a build without the `clmul`
+    /// feature) it folds on a bit-identical portable software multiply.
     Clmul,
 }
 
 impl EngineKind {
     /// Every engine kind, for iteration in tests and benches.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Bitwise,
-        EngineKind::Bytewise,
-        EngineKind::Slice16,
-        EngineKind::Clmul,
-    ];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Slice16, EngineKind::Clmul];
 
-    /// Stable lower-case name (also accepted by [`FromStr`] and the
-    /// `CRCKIT_FORCE_ENGINE` environment variable).
+    /// Stable lower-case name.
     pub fn name(self) -> &'static str {
         match self {
-            EngineKind::Bitwise => "bitwise",
-            EngineKind::Bytewise => "bytewise",
             EngineKind::Slice16 => "slice16",
             EngineKind::Clmul => "clmul",
         }
     }
 
     /// Whether this tier runs on dedicated CPU instructions *on this
-    /// host, right now*. Every kind still computes correctly everywhere:
-    /// `Clmul` falls back to a portable software carryless multiply.
+    /// host, right now*. Auto-selection picks `Clmul` exactly when this
+    /// holds for it; a pinned `Clmul` still computes correctly without
+    /// it, on the portable software multiply.
     pub fn is_hardware_accelerated(self) -> bool {
         match self {
             EngineKind::Clmul => clmul::hardware_available(),
-            _ => false,
+            EngineKind::Slice16 => false,
         }
     }
 }
@@ -80,26 +69,9 @@ impl fmt::Display for EngineKind {
     }
 }
 
-impl FromStr for EngineKind {
-    type Err = crate::Error;
-
-    fn from_str(s: &str) -> Result<EngineKind> {
-        EngineKind::ALL
-            .into_iter()
-            .find(|k| s.eq_ignore_ascii_case(k.name()))
-            .ok_or(crate::Error::UnknownEngine)
-    }
-}
-
-/// Picks the default tier: the `CRCKIT_FORCE_ENGINE` environment variable
-/// if set to a valid engine name, else CLMUL when the CPU supports it,
-/// else slicing-by-16.
+/// Picks the default tier from the CPU flags: CLMUL when the CPU has a
+/// carryless multiply, else slicing-by-16.
 fn select_engine() -> EngineKind {
-    if let Ok(forced) = std::env::var("CRCKIT_FORCE_ENGINE") {
-        if let Ok(kind) = forced.parse() {
-            return kind;
-        }
-    }
     if clmul::hardware_available() {
         EngineKind::Clmul
     } else {
@@ -122,7 +94,7 @@ pub struct Crc {
     /// lives in the low bits of a `u64`; for non-reflected algorithms the
     /// tables are top-aligned in the `u64` so slicing needs no
     /// width-dependent shifts in the inner loop. `tables[0]` doubles as
-    /// the bytewise table.
+    /// the byte-at-a-time table of the remainder steps.
     tables: Box<[[u64; 256]; 16]>,
     /// Folding constants for the CLMUL tier, `x^k mod G` walked out of
     /// `tables`.
@@ -251,17 +223,11 @@ impl Crc {
         out
     }
 
-    /// One-shot CRC using the 256-entry table, one byte at a time.
-    /// Same result as [`Crc::checksum`]; exposed for benchmarking.
-    pub fn checksum_bytewise(&self, bytes: &[u8]) -> u64 {
-        self.checksum_with(EngineKind::Bytewise, bytes)
-    }
-
     /// One-shot CRC using an independent bit-at-a-time implementation.
     ///
-    /// This deliberately does **not** share the raw-state plumbing of the
-    /// other tiers: it is the free-standing reference the whole engine
-    /// stack is validated against.
+    /// This deliberately does **not** share the tables or raw-state
+    /// plumbing of the tiers: it is the free-standing reference the whole
+    /// engine stack is validated against.
     pub fn checksum_bitwise(&self, bytes: &[u8]) -> u64 {
         let p = &self.params;
         let mut state = p.init & p.mask();
@@ -310,14 +276,6 @@ impl Crc {
     /// Advances a raw state over `bytes` on the given tier.
     pub(crate) fn update_with(&self, kind: EngineKind, state: u64, bytes: &[u8]) -> u64 {
         match kind {
-            EngineKind::Bitwise => self.update_bitwise_raw(state, bytes),
-            EngineKind::Bytewise => {
-                let mut state = state;
-                for &b in bytes {
-                    state = self.step_byte(state, b);
-                }
-                state
-            }
             // Inputs too short to fold take slicing-by-16 on the CLMUL tier
             // too, through the same call site.
             EngineKind::Slice16 => self.update_slice16_raw(state, bytes),
@@ -334,38 +292,6 @@ impl Crc {
     #[inline]
     pub(crate) fn update_dispatch_raw(&self, state: u64, bytes: &[u8]) -> u64 {
         self.update_with(self.kind, state, bytes)
-    }
-
-    /// Bit-at-a-time update in the shared raw-state convention (distinct
-    /// from [`Crc::checksum_bitwise`], which is free-standing).
-    fn update_bitwise_raw(&self, mut state: u64, bytes: &[u8]) -> u64 {
-        let p = &self.params;
-        if p.refin {
-            let poly_rev = reflect(p.poly, p.width);
-            for &byte in bytes {
-                state ^= byte as u64;
-                for _ in 0..8 {
-                    state = if state & 1 == 1 {
-                        (state >> 1) ^ poly_rev
-                    } else {
-                        state >> 1
-                    };
-                }
-            }
-        } else {
-            let poly_top = p.poly << (64 - p.width);
-            for &byte in bytes {
-                state ^= (byte as u64) << 56;
-                for _ in 0..8 {
-                    state = if state >> 63 == 1 {
-                        (state << 1) ^ poly_top
-                    } else {
-                        state << 1
-                    };
-                }
-            }
-        }
-        state
     }
 
     /// Slicing-by-8 update: not a tier of its own, but the remainder
@@ -586,18 +512,6 @@ mod tests {
         for (buf, got) in bufs.iter().zip(&batch) {
             assert_eq!(*got, crc.checksum(buf));
         }
-    }
-
-    #[test]
-    fn engine_kind_round_trips_names() {
-        for kind in EngineKind::ALL {
-            assert_eq!(kind.name().parse::<EngineKind>().unwrap(), kind);
-            assert_eq!(
-                kind.name().to_uppercase().parse::<EngineKind>().unwrap(),
-                kind
-            );
-        }
-        assert!("slice99".parse::<EngineKind>().is_err());
     }
 
     #[test]

@@ -22,25 +22,25 @@
 //!
 //! # Engine tiers
 //!
-//! [`Crc::new`] detects the host CPU at construction and selects the
-//! fastest of four interchangeable engine tiers ([`EngineKind`]); every
-//! tier is bit-identical on every parameter set, enforced by the §4.5
+//! [`Crc::new`] reads the host's CPU flags at construction and selects
+//! one of two interchangeable engine tiers ([`EngineKind`]): `Clmul` where
+//! the CPU has a carryless multiply, `Slice16` elsewhere. Both tiers are
+//! bit-identical on every parameter set to the free-standing
+//! bit-at-a-time oracle [`Crc::checksum_bitwise`], enforced by the §4.5
 //! differential test suite. [`Crc::checksum_with`] pins a tier
-//! explicitly; `CRCKIT_FORCE_ENGINE=<name>` in the environment overrides
-//! auto-selection process-wide; building with `--no-default-features`
-//! compiles the intrinsic kernels out entirely.
+//! explicitly; building with `--no-default-features` compiles the
+//! intrinsic kernels out entirely.
 //!
-//! | tier | technique | working set | ns per call at 40 / 576 / 1514 B / 64 KiB* |
-//! |------|-----------|-------------|-----------------|
-//! | [`EngineKind::Bitwise`]  | shift register, 1 bit/step | none | 440 / 6,400 / 17,000 / 740,000 |
-//! | [`EngineKind::Bytewise`] | 256-entry table | 2 KiB | 65 / 1,500 / 4,000 / 180,000 |
+//! | engine | technique | working set | ns per call at 40 / 576 / 1514 B / 64 KiB* |
+//! |--------|-----------|-------------|-----------------|
+//! | [`Crc::checksum_bitwise`] (oracle) | shift register, 1 bit/step | none | 440 / 6,400 / 17,000 / 740,000 |
 //! | [`EngineKind::Slice16`]  | slicing-by-16 | 32 KiB | 17 / 280 / 770 / 33,000 |
 //! | [`EngineKind::Clmul`]    | PCLMULQDQ/PMULL folding; 4×512-bit VPCLMULQDQ from 256 B | 544 B of keys | 17 / 22 / 35 / 960 |
 //!
 //! \* CRC-32/ISO-HDLC, one core of a 2-core AVX-512 Xeon in its faster
-//! speed mode; regenerate with `cargo run --release -p crc-experiments --bin
-//! crc_throughput`, which also writes the machine-readable
-//! `BENCH_crc_throughput.json`.
+//! speed mode; regenerate the tier rows with `cargo run --release -p
+//! crc-experiments --bin crc_throughput`, which also writes the
+//! machine-readable `BENCH_crc_throughput.json`.
 //!
 //! The CLMUL tier picks its kernel by input length and CPU: slicing-by-16
 //! below 64 bytes (where folding does not pay), four 128-bit accumulators
@@ -49,8 +49,10 @@
 //! derives its folding constants (`x^k mod G`) from its own slicing
 //! tables at construction, so *every* catalog polynomial — not just the
 //! CRC32 variants production libraries hardcode — gets hardware folding,
-//! reflected or not; on CPUs without carryless multiply it transparently
-//! runs a bit-identical portable software multiply.
+//! reflected or not. On a CPU without carryless multiply auto-selection
+//! picks slicing-by-16; a `Clmul` engine pinned there (or built without
+//! the `clmul` feature) folds on a bit-identical portable software
+//! multiply.
 
 // Unsafe is denied crate-wide and re-allowed in exactly one place: the
 // CPU-intrinsic kernels of `engine::clmul`, which are differentially
@@ -95,8 +97,6 @@ pub enum Error {
         /// Minimum length required.
         need: usize,
     },
-    /// An engine name did not match any [`EngineKind`].
-    UnknownEngine,
 }
 
 impl fmt::Display for Error {
@@ -114,16 +114,6 @@ impl fmt::Display for Error {
                     f,
                     "frame of {len} bytes is shorter than the {need}-byte minimum"
                 )
-            }
-            Error::UnknownEngine => {
-                write!(f, "unknown engine name (expected one of: ")?;
-                for (i, kind) in EngineKind::ALL.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{kind}")?;
-                }
-                write!(f, ")")
             }
         }
     }

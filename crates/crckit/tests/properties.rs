@@ -1,6 +1,6 @@
 //! Property-based tests for the CRC engines.
 
-use crckit::{catalog, fcs, Crc, CrcParams, Digest};
+use crckit::{catalog, fcs, Crc, CrcParams, Digest, EngineKind};
 use proptest::prelude::*;
 
 fn arbitrary_params() -> impl Strategy<Value = CrcParams> {
@@ -36,8 +36,10 @@ proptest! {
     fn engines_agree(params in arbitrary_params(), data in proptest::collection::vec(any::<u8>(), 0..300)) {
         let crc = Crc::new(params);
         let a = crc.checksum(&data);
-        prop_assert_eq!(a, crc.checksum_bytewise(&data));
         prop_assert_eq!(a, crc.checksum_bitwise(&data));
+        for kind in EngineKind::ALL {
+            prop_assert_eq!(a, crc.checksum_with(kind, &data));
+        }
     }
 
     #[test]

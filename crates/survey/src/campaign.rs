@@ -284,11 +284,11 @@ impl CampaignConfig {
             },
         };
         let cfg = CampaignConfig {
-            width: require_u64(v, "width")? as u32,
+            width: require_u32(v, "width")?,
             shards: require_u64(v, "shards")?,
             seed: require_u64(v, "seed")?,
             mode,
-            min_hd: require_u64(v, "min_hd")? as u32,
+            min_hd: require_u32(v, "min_hd")?,
             target_lengths: v
                 .require("target_lengths")?
                 .as_arr()
@@ -309,7 +309,7 @@ impl CampaignConfig {
                         .ok_or_else(|| Error::Parse("bad BER value".into()))
                 })
                 .collect::<Result<Vec<f64>>>()?,
-            max_weight: require_u64(v, "max_weight")? as u32,
+            max_weight: require_u32(v, "max_weight")?,
         };
         cfg.validate()?;
         Ok(cfg)
@@ -320,6 +320,12 @@ fn require_u64(v: &Json, key: &str) -> Result<u64> {
     v.require(key)?
         .as_u64()
         .ok_or_else(|| Error::Parse(format!("{key} is not an unsigned integer")))
+}
+
+fn require_u32(v: &Json, key: &str) -> Result<u32> {
+    v.require(key)?
+        .as_u32()
+        .ok_or_else(|| Error::Parse(format!("{key} is not a 32-bit unsigned integer")))
 }
 
 /// One shard's slice of the space: offsets `start..end` of the
@@ -671,18 +677,18 @@ impl SurvivorRecord {
             .collect::<Result<Vec<(u32, MemoFact)>>>()?;
         let rec = SurvivorRecord {
             koopman,
-            width: require_u64(v, "width")? as u32,
+            width: require_u32(v, "width")?,
             class: v
                 .require("class")?
                 .as_str()
                 .ok_or_else(|| Error::Parse("class is not a string".into()))?
                 .to_string(),
-            taps: require_u64(v, "taps")? as u32,
+            taps: require_u32(v, "taps")?,
             order: parse_u128("order")?,
             dmins,
             memo,
-            max_weight_explored: require_u64(v, "max_weight_explored")? as u32,
-            ref_len: require_u64(v, "ref_len")? as u32,
+            max_weight_explored: require_u32(v, "max_weight_explored")?,
+            ref_len: require_u32(v, "ref_len")?,
             w2: parse_u128("w2")?,
             w34,
         };
@@ -902,6 +908,19 @@ mod tests {
         }
     }
 
+    /// `doc` with the integer field `key` raised by 2³²: a value a `u32`
+    /// cast would wrap back to the original.
+    fn wrapped_past_u32(doc: &Json, key: &str) -> Json {
+        let Json::Obj(pairs) = doc else {
+            panic!("not an object")
+        };
+        let mut pairs = pairs.clone();
+        let field = pairs.iter_mut().find(|(k, _)| k == key).expect("field");
+        let n = field.1.as_u64().expect("integer field");
+        field.1 = Json::Int(n + (1 << 32));
+        Json::Obj(pairs)
+    }
+
     #[test]
     fn config_json_round_trip_and_hash_stability() {
         for mode in [Mode::Exhaustive, Mode::Sampled { per_shard: 50 }] {
@@ -915,6 +934,14 @@ mod tests {
         let mut other = cfg();
         other.seed += 1;
         assert_ne!(other.content_hash(), cfg().content_hash());
+        // Out-of-range 32-bit fields are refused, not truncated.
+        for key in ["width", "min_hd", "max_weight"] {
+            let doc = wrapped_past_u32(&cfg().to_json(), key);
+            assert!(
+                matches!(CampaignConfig::from_json(&doc), Err(Error::Parse(_))),
+                "{key}"
+            );
+        }
     }
 
     #[test]
@@ -962,6 +989,14 @@ mod tests {
         let rec = found.expect("some 12-bit polynomial reaches HD 4 at 64 bits");
         let back = SurvivorRecord::from_json(&rec.to_json()).unwrap();
         assert_eq!(back, rec);
+        // Out-of-range 32-bit fields are refused, not truncated.
+        for key in ["width", "taps", "max_weight_explored", "ref_len"] {
+            let doc = wrapped_past_u32(&rec.to_json(), key);
+            assert!(
+                matches!(SurvivorRecord::from_json(&doc), Err(Error::Parse(_))),
+                "{key}"
+            );
+        }
         // The rebuilt profile answers HD queries at every target length.
         let profile = back.profile(c.ref_len()).unwrap();
         for &n in &c.target_lengths {
