@@ -4,7 +4,8 @@
 //! The paper's numbers come from a 3-month, ~80-machine exhaustive search;
 //! this binary substitutes stratified random sampling within each class
 //! (exact class sizes × sampled HD=6 density, with Wilson 95% intervals) —
-//! the substitution is documented in DESIGN.md §4. Classes whose density
+//! the substitution is described under "Sampling Table 2" in
+//! `docs/REPRODUCTION.md`. Classes whose density
 //! is below the sampling resolution are reported as upper bounds.
 //!
 //! Usage: `cargo run --release -p crc-experiments --bin table2
@@ -73,7 +74,7 @@ fn main() {
     println!("{}", t.render());
     println!(
         "estimated canonical total: {:.0}   paper total: {} (Table 2 sums to 21,392; \
-         the prose says 21,292 — see EXPERIMENTS.md)",
+         the prose says 21,292 — see docs/REPRODUCTION.md)",
         total_est / 2.0,
         with_commas(paper_total as u128)
     );

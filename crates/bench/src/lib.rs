@@ -1,19 +1,26 @@
 //! Shared helpers for the experiment binaries and benches.
 //!
-//! Each binary regenerates one artifact of the paper (see DESIGN.md §5 and
-//! EXPERIMENTS.md):
+//! Each binary regenerates one artifact: a table or figure of the paper,
+//! or, for the `*_throughput` bins, a `BENCH_*.json` trail at the
+//! repository root. Where the repository's numbers depart from the
+//! paper's text, `docs/REPRODUCTION.md` says why.
 //!
-//! | binary             | paper artifact                                  |
-//! |--------------------|-------------------------------------------------|
-//! | `table1`           | Table 1 (HD bands per polynomial)               |
-//! | `figure1`          | Figure 1 (HD-vs-length series, CSV)             |
-//! | `table2`           | Table 2 (HD=6 census per factorization class)   |
-//! | `exhaustive_small` | §4.5 scaled exhaustive searches (8/16 bits)     |
-//! | `ablation`         | §4.1 filtering-technique measurements           |
-//! | `weights_mtu`      | §2 weights at the Ethernet MTU (W₄ = 223,059)   |
-//! | `cost_model`       | §3 intractability arithmetic                    |
-//! | `applications`     | §4.3/§4.4 iSCSI & jumbo-frame studies           |
-//! | `survey_throughput`| campaign-engine polys/sec trail (BENCH json)    |
+//! | binary                    | artifact                                        |
+//! |---------------------------|-------------------------------------------------|
+//! | `table1`                  | Table 1 (HD bands per polynomial)               |
+//! | `figure1`                 | Figure 1 (HD-vs-length series, CSV)             |
+//! | `table2`                  | Table 2 (HD=6 census per factorization class)   |
+//! | `exhaustive_small`        | §4.5 scaled exhaustive searches (8/16 bits)     |
+//! | `ablation`                | §4.1 filtering-technique measurements           |
+//! | `weights_mtu`             | §2 weights at the Ethernet MTU (W₄ = 223,059)   |
+//! | `cost_model`              | §3 intractability arithmetic                    |
+//! | `applications`            | §4.3/§4.4 iSCSI & jumbo-frame studies           |
+//! | `sim_determinism`         | netsim tallies for the 1/2/4-thread golden diff |
+//! | `crc_throughput`          | crckit ns per call per engine tier              |
+//! | `sim_throughput`          | netsim Monte-Carlo frames/s                     |
+//! | `survey_throughput`       | campaign-engine polynomials/s                   |
+//! | `weights_throughput`      | screening-kernel cost per polynomial            |
+//! | `distribution_throughput` | exact weight distribution cost per polynomial   |
 
 use crc_hd::GenPoly;
 

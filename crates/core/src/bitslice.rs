@@ -15,8 +15,7 @@
 //! blocks (with up to 63 positions of overshoot their explicit bounds
 //! already tolerate).
 
-use crate::genpoly::GenPoly;
-use gf2poly::{ModCtx, Poly};
+use gf2poly::{GenPoly, ModCtx, Poly};
 
 /// Serial positions required before block extension can start: the
 /// basis needs `r(0)..r(width-1+63)`, and two aligned 64-word

@@ -7,8 +7,8 @@
 //! pairs per second. These numbers are regenerated here and printed by the
 //! `cost_model` experiment binary.
 
-use crate::dmin::binomial_u128;
-use crate::genpoly::GenPoly;
+use gf2poly::int::binomial;
+use gf2poly::GenPoly;
 
 /// Seconds per Julian year (365.25 days).
 pub const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
@@ -21,7 +21,7 @@ pub fn distinct_polynomials(r: u32) -> u64 {
 
 /// Bit patterns with `k` of `n + r` codeword bits set: `C(n+r, k)`.
 pub fn error_patterns(codeword_len: u32, k: u32) -> u128 {
-    binomial_u128(codeword_len as u128, k)
+    binomial(codeword_len as u128, k)
 }
 
 /// Total pattern/polynomial pairs for a brute-force scan of every

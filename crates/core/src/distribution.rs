@@ -57,10 +57,10 @@
 //! than returning silently wrong counts.
 
 use crate::bitslice::{transpose64, PlaneState, BASIS_PREFIX};
-use crate::genpoly::GenPoly;
 use crate::spectrum::WeightSpectrum;
 use crate::syndrome::SyndromeSeq;
 use crate::{Error, Result};
+use gf2poly::GenPoly;
 use std::cmp::Ordering;
 use std::fmt;
 

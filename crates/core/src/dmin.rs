@@ -21,11 +21,12 @@
 //!   split `a + b`; all `a`-subsets live in a multimap keyed by their
 //!   syndrome XOR, and `b`-subsets probe it.
 
-use crate::genpoly::GenPoly;
 use crate::posmap::{pack_positions, packed_disjoint_from, packed_last, XorMultiMap};
 use crate::syndrome::SyndromeSeq;
 use crate::workspace::SyndromeWorkspace;
 use crate::{Error, Result};
+use gf2poly::int::binomial;
+use gf2poly::GenPoly;
 
 /// Entry budget for the meet-in-the-middle subset map (~16M entries ≈
 /// 0.8 GB with table overhead). Searches that would exceed it return
@@ -166,9 +167,9 @@ pub(crate) fn mitm_scan_with(
         seq.extend_table(syn, t as usize);
         // Abort if the search outgrows the memory budget before a witness
         // appears (checked before inserting this degree's tranche).
-        if binomial_u128(t as u128 - 1, a as u32) > MITM_MAP_BUDGET {
+        if binomial(t as u128 - 1, a as u32) > MITM_MAP_BUDGET {
             return Err(Error::BudgetExceeded {
-                estimated: binomial_u128(cap as u128 - 1, a as u32),
+                estimated: binomial(cap as u128 - 1, a as u32),
                 limit: MITM_MAP_BUDGET,
             });
         }
@@ -277,23 +278,6 @@ fn rec_probe(
     false
 }
 
-/// Binomial coefficient in `u128` (exact; saturating only at the `u128`
-/// ceiling, far beyond every count used here).
-pub(crate) fn binomial_u128(n: u128, k: u32) -> u128 {
-    let k = k as u128;
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u128 = 1;
-    // Ascending factors keep every intermediate division exact:
-    // after step i, acc = C(n - k + i + 1, i + 1).
-    for i in 0..k {
-        acc = acc.saturating_mul(n - k + i + 1) / (i + 1);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,7 +344,7 @@ mod tests {
         // 382 bits". The misprint flips one bit of the {1,1,15,15}
         // polynomial and destroys its (x+1)^2 factor, so *odd*-weight
         // multiples appear: d_min(5) = 415 ⇒ HD=6 holds through 383 bits
-        // (one more than the paper's figure — see EXPERIMENTS.md), then
+        // (one more than the paper's figure — see docs/REPRODUCTION.md), then
         // HD=5 to 2922 (d_min(4) = 2954), HD=4 beyond.
         let g = g32(0xFB567D89);
         assert!(
@@ -437,12 +421,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn binomial_helper() {
-        assert_eq!(binomial_u128(12144, 4), 905_776_814_103_876);
-        assert_eq!(binomial_u128(5, 7), 0);
-        assert_eq!(binomial_u128(10, 0), 1);
     }
 }

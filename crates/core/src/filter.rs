@@ -16,10 +16,10 @@
 //!    ([`StagedFilter`]); **inverse filtering** reuses the early-out
 //!    evaluator to certify upper length bounds ([`certify_hd_absent`]).
 
-use crate::genpoly::GenPoly;
 use crate::syndrome::syndrome_table;
 use crate::workspace::SyndromeWorkspace;
 use crate::Result;
+use gf2poly::GenPoly;
 
 /// Verdict of an HD filter on one polynomial at one length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

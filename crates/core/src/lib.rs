@@ -136,7 +136,6 @@ pub mod costmodel;
 pub mod distribution;
 pub mod dmin;
 pub mod filter;
-pub mod genpoly;
 pub mod posmap;
 pub mod profile;
 pub mod reference;
@@ -148,7 +147,7 @@ pub mod weights;
 pub mod witness;
 pub mod workspace;
 
-pub use genpoly::GenPoly;
+pub use gf2poly::GenPoly;
 pub use profile::HdProfile;
 pub use workspace::SyndromeWorkspace;
 
@@ -189,6 +188,16 @@ impl fmt::Display for Error {
 }
 
 impl StdError for Error {}
+
+impl From<gf2poly::Error> for Error {
+    fn from(e: gf2poly::Error) -> Error {
+        match e {
+            gf2poly::Error::UnsupportedWidth(w) => Error::UnsupportedWidth(w),
+            gf2poly::Error::BadGenerator(s) => Error::BadPolynomial(s),
+            other => Error::BadPolynomial(other.to_string()),
+        }
+    }
+}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -8,9 +8,9 @@
 //! paper's hard confirmations, e.g. proving `0xD419CC15` admits no weight-4
 //! multiple below its order 65537 (the paper's "HD=5 up to almost 64K").
 
-use crate::genpoly::GenPoly;
 use crate::workspace::SyndromeWorkspace;
 use crate::{Error, Result};
+use gf2poly::GenPoly;
 
 /// Default highest weight explored by [`HdProfile::compute`]. Table 1's
 /// smallest lengths reach HD=15, and odd weights are free for parity

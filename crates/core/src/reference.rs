@@ -23,12 +23,12 @@
 
 use crate::dmin::{dmin2, mitm_scan};
 use crate::filter::FilterVerdict;
-use crate::genpoly::GenPoly;
 use crate::posmap::PosMap;
 use crate::profile::HdProfile;
 use crate::syndrome::SyndromeSeq;
 use crate::weights::{weight2, Weights234};
 use crate::{Error, Result};
+use gf2poly::GenPoly;
 
 /// Scratch-built `d_min(w)` (see [`crate::workspace::SyndromeWorkspace::dmin`]
 /// for the production path).

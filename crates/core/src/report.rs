@@ -1,8 +1,8 @@
 //! Plain-text table and CSV emitters for the experiment binaries.
 //!
 //! Experiments print both a human-readable aligned table (the shape of the
-//! paper's tables) and machine-readable CSV, so EXPERIMENTS.md can quote
-//! either. No serialization framework is needed for this.
+//! paper's tables) and machine-readable CSV, so either can be quoted. No
+//! serialization framework is needed for this.
 
 use std::fmt::Write as _;
 

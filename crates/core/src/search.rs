@@ -17,10 +17,9 @@
 //! so results never depend on the thread count.
 
 use crate::filter::hd_filter_in;
-use crate::genpoly::GenPoly;
 use crate::workspace::SyndromeWorkspace;
 use crate::Result;
-use gf2poly::{factor, wilson, FactorClass, SplitMix64, Z95};
+use gf2poly::{factor, wilson, FactorClass, GenPoly, SplitMix64, Z95};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The full `width`-bit polynomial space in the paper's representation:
@@ -184,8 +183,8 @@ fn run_workers<T: Send>(threads: usize, worker: impl FnOnce() -> T + Copy + Send
 }
 
 /// Estimate of a factorization class's HD census by stratified sampling —
-/// the laptop-scale substitute for the paper's Table 2 (documented in
-/// DESIGN.md §4).
+/// the laptop-scale substitute for the paper's Table 2 (see "Sampling
+/// Table 2" in `docs/REPRODUCTION.md`).
 #[derive(Debug, Clone)]
 pub struct CensusEstimate {
     /// The sampled class signature.

@@ -8,8 +8,8 @@
 //! used for validation (§4.5), and it doubles as the reproduction of the
 //! paper's 8-/16-bit exhaustive searches.
 
-use crate::genpoly::GenPoly;
 use crate::{Error, Result};
+use gf2poly::GenPoly;
 
 /// Largest data-word length for exhaustive enumeration (2³⁰ codewords).
 pub const MAX_SPECTRUM_LEN: u32 = 30;

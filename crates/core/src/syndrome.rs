@@ -7,7 +7,7 @@
 //! `r(0), r(1), r(2), …`, which this module generates at one shift/XOR per
 //! step.
 
-use crate::genpoly::GenPoly;
+use gf2poly::GenPoly;
 
 /// An iterator-style generator of the syndrome sequence `x^i mod G`.
 ///

@@ -14,9 +14,9 @@
 //! hash probes (~10⁸ at MTU length — well under a second).
 
 use crate::dmin::dmin2;
-use crate::genpoly::GenPoly;
 use crate::workspace::SyndromeWorkspace;
 use crate::{Error, Result};
+use gf2poly::GenPoly;
 
 /// Exact weights `W₂..W₄` for a generator at one data-word length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +109,7 @@ pub(crate) fn weight2_from_order(order: u128, l: u128) -> u128 {
 /// The undetected fraction `Wₖ / C(n+r, k)` — the paper's "slightly more
 /// than 1 out of every 2³² possible errors" observation for 802.3 at MTU.
 pub fn undetected_fraction(count: u128, codeword_len: u32, k: u32) -> f64 {
-    let total = crate::dmin::binomial_u128(codeword_len as u128, k);
+    let total = gf2poly::int::binomial(codeword_len as u128, k);
     if total == 0 {
         return 0.0;
     }

@@ -6,10 +6,10 @@
 //! undetected error" at 2975 bits for 802.3 is a specific 4-bit pattern,
 //! and having it in hand lets `netsim` inject it into real frames.
 
-use crate::genpoly::GenPoly;
 use crate::posmap::PosMap;
 use crate::syndrome::SyndromeSeq;
 use crate::{Error, Result};
+use gf2poly::GenPoly;
 
 /// A concrete undetectable error pattern: bit positions (exponents,
 /// counted from the codeword end) whose flips form a codeword.

@@ -90,11 +90,11 @@
 
 use crate::dmin::{dmin2, mitm_scan_with, MitmState};
 use crate::filter::FilterVerdict;
-use crate::genpoly::GenPoly;
 use crate::posmap::PosMap;
 use crate::syndrome::SyndromeSeq;
 use crate::weights::{weight2_from_order, Weights234};
 use crate::{Error, Result};
+use gf2poly::GenPoly;
 
 /// Widest generator that uses the direct-indexed position table.
 /// At or below this width both syndrome values and first-occurrence

@@ -421,7 +421,7 @@ pub fn self_check(params: &CrcParams) -> (bool, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::notation::PolyForm;
+    use crate::GenPoly;
 
     #[test]
     fn every_catalog_entry_passes_self_check() {
@@ -438,16 +438,16 @@ mod tests {
     #[test]
     fn paper_polys_map_to_deployed_standards() {
         // 0x8F6E37A0 (Koopman) == CRC-32C == 0x1EDC6F41 (normal).
-        let p = PolyForm::from_koopman(32, KOOPMAN_CASTAGNOLI_ISCSI).unwrap();
+        let p = GenPoly::from_koopman(32, KOOPMAN_CASTAGNOLI_ISCSI).unwrap();
         assert_eq!(p.normal(), CRC32_ISCSI.poly);
         // 0xBA0DC66B == CRC-32/MEF's 0x741B8CD7.
-        let p = PolyForm::from_koopman(32, KOOPMAN_BA0DC66B).unwrap();
+        let p = GenPoly::from_koopman(32, KOOPMAN_BA0DC66B).unwrap();
         assert_eq!(p.normal(), CRC32_MEF.poly);
         // 0xD419CC15 == CRC-32D's 0xA833982B.
-        let p = PolyForm::from_koopman(32, KOOPMAN_D419CC15).unwrap();
+        let p = GenPoly::from_koopman(32, KOOPMAN_D419CC15).unwrap();
         assert_eq!(p.normal(), CRC32_BASE91_D.poly);
         // 802.3 == CRC-32/ISO-HDLC's 0x04C11DB7.
-        let p = PolyForm::from_koopman(32, KOOPMAN_IEEE_802_3).unwrap();
+        let p = GenPoly::from_koopman(32, KOOPMAN_IEEE_802_3).unwrap();
         assert_eq!(p.normal(), CRC32_ISO_HDLC.poly);
     }
 
@@ -462,7 +462,7 @@ mod tests {
     #[test]
     fn paper_poly_list_is_consistent() {
         for (k, _, _) in PAPER_POLYS {
-            let p = PolyForm::from_koopman(32, k).unwrap();
+            let p = GenPoly::from_koopman(32, k).unwrap();
             assert_eq!(p.koopman(), k);
             // All paper polynomials have the +1 term by construction.
             assert!(p.to_poly().has_constant_term());

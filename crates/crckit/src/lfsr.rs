@@ -8,7 +8,7 @@
 //! module models that hardware view: a bit-serial Galois LFSR whose XOR
 //! gate count is exactly the tap count.
 
-use crate::notation::PolyForm;
+use crate::GenPoly;
 
 /// A bit-serial Galois linear-feedback shift register for a CRC generator.
 ///
@@ -16,24 +16,23 @@ use crate::notation::PolyForm;
 /// in the register — the classical hardware CRC circuit.
 ///
 /// ```
-/// use crckit::GaloisLfsr;
-/// use crckit::notation::PolyForm;
+/// use crckit::{GaloisLfsr, GenPoly};
 ///
-/// let poly = PolyForm::from_koopman(32, 0x80108400).unwrap();
+/// let poly = GenPoly::from_koopman(32, 0x80108400).unwrap();
 /// let lfsr = GaloisLfsr::new(poly);
 /// // The paper's minimal-tap HD=5 polynomial needs only 3 XOR taps.
 /// assert_eq!(lfsr.tap_count(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GaloisLfsr {
-    poly: PolyForm,
+    poly: GenPoly,
     state: u64,
     steps: u64,
 }
 
 impl GaloisLfsr {
     /// Builds an LFSR with an all-zero register.
-    pub fn new(poly: PolyForm) -> GaloisLfsr {
+    pub fn new(poly: GenPoly) -> GaloisLfsr {
         GaloisLfsr {
             poly,
             state: 0,
@@ -75,7 +74,7 @@ impl GaloisLfsr {
     pub fn shift_bit(&mut self, bit: bool) {
         let w = self.width();
         let top = (self.state >> (w - 1)) & 1 == 1;
-        self.state = (self.state << 1) & mask(w);
+        self.state = (self.state << 1) & self.poly.mask();
         if top ^ bit {
             self.state ^= self.poly.normal();
         }
@@ -104,15 +103,6 @@ impl GaloisLfsr {
     }
 }
 
-#[inline]
-fn mask(width: u32) -> u64 {
-    if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +114,7 @@ mod tests {
         // init=0, unreflected, xorout=0 is exactly the LFSR circuit.
         let params = CrcParams::new("PURE32", 32, 0x04C1_1DB7).unwrap();
         let crc = Crc::new(params);
-        let poly = PolyForm::from_normal(32, 0x04C1_1DB7).unwrap();
+        let poly = GenPoly::from_normal(32, 0x04C1_1DB7).unwrap();
         let mut lfsr = GaloisLfsr::new(poly);
         for msg in [&b""[..], b"a", b"hello world", b"123456789"] {
             assert_eq!(lfsr.fcs_of(msg), crc.checksum(msg), "msg {msg:?}");
@@ -136,7 +126,7 @@ mod tests {
         // §4.2: 0x90022004 has five nonzero coefficients in its hex
         // representation; 0x80108400 achieves "the minimum possible number
         // of non-zero coefficients" for HD=5 to ~64Kb.
-        let taps = |k: u64| GaloisLfsr::new(PolyForm::from_koopman(32, k).unwrap()).tap_count();
+        let taps = |k: u64| GaloisLfsr::new(GenPoly::from_koopman(32, k).unwrap()).tap_count();
         // Normal form of 0x90022004 is 0x20044009: weight 5 ⇒ 4 XOR taps.
         assert_eq!(taps(0x9002_2004), 4);
         // Normal form of 0x80108400 is 0x00210801: weight 4 ⇒ 3 XOR taps.
@@ -147,7 +137,7 @@ mod tests {
 
     #[test]
     fn step_counting_and_reset() {
-        let poly = PolyForm::from_normal(16, 0x1021).unwrap();
+        let poly = GenPoly::from_normal(16, 0x1021).unwrap();
         let mut lfsr = GaloisLfsr::new(poly);
         lfsr.shift_byte(0xAB);
         assert_eq!(lfsr.steps(), 8);
@@ -160,7 +150,7 @@ mod tests {
 
     #[test]
     fn single_one_bit_into_zero_register_loads_poly_tail() {
-        let poly = PolyForm::from_normal(8, 0x07).unwrap();
+        let poly = GenPoly::from_normal(8, 0x07).unwrap();
         let mut lfsr = GaloisLfsr::new(poly);
         lfsr.shift_bit(true);
         // A single 1 entering an all-zero register XORs in the polynomial.

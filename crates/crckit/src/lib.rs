@@ -2,12 +2,13 @@
 //!
 //! This crate is the "downstream user" face of the Koopman DSN 2002
 //! reproduction: everything needed to actually *use* the polynomials the
-//! paper evaluates — a Rocksoft-parameter model, a pluggable multi-tier
-//! engine (see below), notation conversions between the paper's Koopman
-//! form and the normal/reflected forms found in standards documents,
-//! frame FCS handling, a catalog of standard algorithms with check
-//! values, and a Galois-LFSR "hardware view" exposing the feedback tap
-//! counts the paper cares about for high-speed implementations.
+//! paper evaluates — a Rocksoft-parameter model, two engine tiers plus a
+//! bit-at-a-time oracle (see below), frame FCS handling, a catalog of
+//! standard algorithms with check values, and a Galois-LFSR "hardware
+//! view" exposing the feedback tap counts the paper cares about for
+//! high-speed implementations. Conversions between the paper's Koopman
+//! form and the normal/reversed forms found in standards documents live
+//! on [`GenPoly`], re-exported from `gf2poly`.
 //!
 //! # Quick start
 //!
@@ -66,11 +67,11 @@ pub mod digest;
 pub mod engine;
 pub mod fcs;
 pub mod lfsr;
-pub mod notation;
 pub mod params;
 
 pub use digest::Digest;
 pub use engine::{Crc, EngineKind};
+pub use gf2poly::GenPoly;
 pub use lfsr::GaloisLfsr;
 pub use params::CrcParams;
 

@@ -1,7 +1,6 @@
 //! The Rocksoft™ parameter model describing a concrete CRC algorithm.
 
-use crate::notation::{PolyForm, PolyNotation};
-use crate::{Error, Result};
+use crate::{Error, GenPoly, Result};
 
 /// A complete CRC algorithm specification (Williams' Rocksoft model).
 ///
@@ -53,17 +52,26 @@ impl CrcParams {
     ///
     /// [`Error::UnsupportedWidth`] / [`Error::ValueTooWide`] on bad inputs.
     pub fn new(name: &'static str, width: u32, poly: u64) -> Result<CrcParams> {
-        let form = PolyForm::from_normal(width, poly)?;
-        Ok(CrcParams {
+        if !(8..=64).contains(&width) {
+            return Err(Error::UnsupportedWidth(width));
+        }
+        let params = CrcParams {
             name,
             width,
-            poly: form.normal(),
+            poly,
             init: 0,
             refin: false,
             refout: false,
             xorout: 0,
             check: 0,
-        })
+        };
+        if poly & !params.mask() != 0 {
+            return Err(Error::ValueTooWide {
+                field: "poly",
+                value: poly,
+            });
+        }
+        Ok(params)
     }
 
     /// Starts a specification from a polynomial in the paper's Koopman
@@ -73,8 +81,14 @@ impl CrcParams {
     ///
     /// [`Error::UnsupportedWidth`] / [`Error::ValueTooWide`] on bad inputs.
     pub fn with_koopman_poly(name: &'static str, width: u32, koopman: u64) -> Result<CrcParams> {
-        let form = PolyForm::from_koopman(width, koopman)?;
-        CrcParams::new(name, width, form.normal())
+        let g = GenPoly::from_koopman(width, koopman).map_err(|e| match e {
+            gf2poly::Error::UnsupportedWidth(w) => Error::UnsupportedWidth(w),
+            _ => Error::ValueTooWide {
+                field: "koopman poly",
+                value: koopman,
+            },
+        })?;
+        CrcParams::new(name, width, g.normal())
     }
 
     /// Sets the initial register value.
@@ -118,21 +132,6 @@ impl CrcParams {
     pub fn check(mut self, check: u64) -> CrcParams {
         self.check = check;
         self
-    }
-
-    /// The polynomial as a convertible [`PolyForm`].
-    pub fn poly_form(&self) -> PolyForm {
-        PolyForm::from_normal(self.width, self.poly).expect("validated at construction")
-    }
-
-    /// The polynomial in the requested notation.
-    pub fn poly_in(&self, notation: PolyNotation) -> u64 {
-        let form = self.poly_form();
-        match notation {
-            PolyNotation::Normal => form.normal(),
-            PolyNotation::Reversed => form.reversed(),
-            PolyNotation::Koopman => form.koopman(),
-        }
     }
 
     /// Bit mask of the low `width` bits.
@@ -189,18 +188,21 @@ mod tests {
         let a = CrcParams::with_koopman_poly("K", 32, 0x8260_8EDB).unwrap();
         let b = CrcParams::new("N", 32, 0x04C1_1DB7).unwrap();
         assert_eq!(a.poly, b.poly);
-    }
-
-    #[test]
-    fn notation_projection() {
-        let p = CrcParams::new("T", 32, 0x04C1_1DB7).unwrap();
-        assert_eq!(p.poly_in(PolyNotation::Normal), 0x04C1_1DB7);
-        assert_eq!(p.poly_in(PolyNotation::Reversed), 0xEDB8_8320);
-        assert_eq!(p.poly_in(PolyNotation::Koopman), 0x8260_8EDB);
+        // Koopman form must have the top bit set.
+        assert!(matches!(
+            CrcParams::with_koopman_poly("K", 32, 0x7FFF_FFFF),
+            Err(Error::ValueTooWide { .. })
+        ));
     }
 
     #[test]
     fn validation_catches_wide_values() {
+        assert_eq!(CrcParams::new("T", 7, 1), Err(Error::UnsupportedWidth(7)));
+        assert_eq!(CrcParams::new("T", 65, 1), Err(Error::UnsupportedWidth(65)));
+        assert!(matches!(
+            CrcParams::new("T", 16, 0x1_0000),
+            Err(Error::ValueTooWide { field: "poly", .. })
+        ));
         let p = CrcParams::new("T", 16, 0x1021).unwrap().init(0x1_0000);
         assert!(matches!(
             p.validate(),

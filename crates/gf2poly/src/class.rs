@@ -6,6 +6,7 @@
 //! (b) a way to draw random members. Both live here.
 
 use crate::factor::FactorSignature;
+use crate::int::binomial;
 use crate::irred::{count_irreducibles, random_irreducible};
 use crate::poly::Poly;
 use crate::rng::SplitMix64;
@@ -120,8 +121,8 @@ impl FactorClass {
 
     /// The Table 2 classes of the paper, with the published HD=6 census.
     ///
-    /// Returned as `(class, published_count)` pairs; the published total is
-    /// 21,292.
+    /// Returned as `(class, published_count)` pairs. The entries sum to
+    /// 21,392; the paper's prose says 21,292 (see `docs/REPRODUCTION.md`).
     pub fn table2_classes() -> Vec<(FactorClass, u64)> {
         [
             ("{1,1,30}", 658u64),
@@ -152,23 +153,6 @@ fn multiset_coefficient(n: u128, k: u32) -> u128 {
         return if k == 0 { 1 } else { 0 };
     }
     binomial(n + k as u128 - 1, k)
-}
-
-/// Binomial coefficient with `u128` arithmetic (numerically exact for the
-/// ranges used here: k is a small factor count).
-fn binomial(n: u128, k: u32) -> u128 {
-    let k = k as u128;
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u128 = 1;
-    // Ascending factors keep every intermediate division exact:
-    // after step i, acc = C(n - k + i + 1, i + 1).
-    for i in 0..k {
-        acc = acc * (n - k + i + 1) / (i + 1);
-    }
-    acc
 }
 
 /// Number of polynomials in the paper's full `r`-bit search space:
@@ -204,10 +188,7 @@ mod tests {
     use crate::factor::factor;
 
     #[test]
-    fn binomial_and_multiset() {
-        assert_eq!(binomial(5, 2), 10);
-        assert_eq!(binomial(5, 0), 1);
-        assert_eq!(binomial(3, 5), 0);
+    fn multiset_coefficients() {
         assert_eq!(multiset_coefficient(2182, 2), 2182 * 2183 / 2);
         assert_eq!(multiset_coefficient(1, 2), 1);
         assert_eq!(multiset_coefficient(0, 3), 0);
@@ -268,7 +249,7 @@ mod tests {
         let total: u64 = classes.iter().map(|&(_, n)| n).sum();
         // The paper's prose says "21,292 polynomials with HD=6", but its
         // Table 2 entries sum to 21,392 — an internal inconsistency of the
-        // paper, recorded in EXPERIMENTS.md. We pin the table sum.
+        // paper, recorded in docs/REPRODUCTION.md. We pin the table sum.
         assert_eq!(total, 21_392, "sum of the paper's Table 2 entries");
         for (c, _) in &classes {
             assert_eq!(c.total_degree(), 32);

@@ -1,8 +1,17 @@
-//! [`GenPoly`]: a validated CRC generator polynomial, the input type of
-//! every evaluation in this crate.
+//! [`GenPoly`]: a validated CRC generator polynomial, the one generator
+//! type of the workspace.
+//!
+//! A degree-`r` generator has `r + 1` coefficients, so it cannot fit in an
+//! `r`-bit integer; the three written conventions drop a different bit:
+//!
+//! * **Normal** (MSB-first): coefficients of `x^(r-1)..x^0`, the `x^r` term
+//!   implicit. 802.3's generator is `0x04C11DB7`.
+//! * **Reversed** (LSB-first): the normal form bit-reflected, used by
+//!   reflected (`refin = true`) implementations. 802.3: `0xEDB88320`.
+//! * **Koopman**: coefficients of `x^r..x^1`, the `+1` term implicit: the
+//!   paper's notation, whose top bit is always set. 802.3: `0x82608EDB`.
 
-use crate::{Error, Result};
-use gf2poly::Poly;
+use crate::{Error, Poly, Result};
 
 /// A CRC generator polynomial of degree (width) `r` with nonzero constant
 /// term, the only polynomials in the paper's search space.
@@ -13,9 +22,10 @@ use gf2poly::Poly;
 /// [`GenPoly::from_koopman`].
 ///
 /// ```
-/// use crc_hd::GenPoly;
+/// use gf2poly::GenPoly;
 /// let g = GenPoly::from_koopman(32, 0x82608EDB).unwrap(); // IEEE 802.3
 /// assert_eq!(g.normal(), 0x04C11DB7);
+/// assert_eq!(g.reversed(), 0xEDB88320);
 /// assert_eq!(g.width(), 32);
 /// assert!(!g.divisible_by_x_plus_1());
 /// ```
@@ -31,7 +41,7 @@ impl GenPoly {
     /// # Errors
     ///
     /// [`Error::UnsupportedWidth`] outside 3..=64;
-    /// [`Error::BadPolynomial`] if bits exceed the width or the constant
+    /// [`Error::BadGenerator`] if bits exceed the width or the constant
     /// term is zero (such generators waste a bit of the FCS and are
     /// excluded from the paper's space).
     pub fn from_normal(width: u32, normal: u64) -> Result<GenPoly> {
@@ -40,12 +50,12 @@ impl GenPoly {
         }
         let mask = Self::mask_for(width);
         if normal & !mask != 0 {
-            return Err(Error::BadPolynomial(format!(
+            return Err(Error::BadGenerator(format!(
                 "value {normal:#x} exceeds width {width}"
             )));
         }
         if normal & 1 == 0 {
-            return Err(Error::BadPolynomial(
+            return Err(Error::BadGenerator(
                 "constant term must be 1 (the paper's implicit +1)".into(),
             ));
         }
@@ -65,12 +75,12 @@ impl GenPoly {
         }
         let mask = Self::mask_for(width);
         if koopman & !mask != 0 {
-            return Err(Error::BadPolynomial(format!(
+            return Err(Error::BadGenerator(format!(
                 "value {koopman:#x} exceeds width {width}"
             )));
         }
         if koopman >> (width - 1) & 1 != 1 {
-            return Err(Error::BadPolynomial(
+            return Err(Error::BadGenerator(
                 "koopman notation requires the x^width bit set".into(),
             ));
         }
@@ -106,6 +116,13 @@ impl GenPoly {
     #[inline]
     pub fn koopman(&self) -> u64 {
         (self.normal >> 1) | 1 << (self.width - 1)
+    }
+
+    /// Reversed-notation value: the normal form bit-reflected within
+    /// `width` bits, as reflected implementations write it.
+    #[inline]
+    pub fn reversed(&self) -> u64 {
+        self.normal.reverse_bits() >> (64 - self.width)
     }
 
     /// The full polynomial with all `width + 1` coefficients.
@@ -181,13 +198,25 @@ mod tests {
             (16, 0x8810), // CCITT 0x1021 in Koopman form
             (8, 0x83),
             (64, 0xA17870F5D4F51B49),
+            (64, u64::MAX), // all-ones: no shift may overflow at width 64
         ] {
             let g = GenPoly::from_koopman(w, k).unwrap();
             assert_eq!(g.koopman(), k, "width {w}");
             let g2 = GenPoly::from_normal(w, g.normal()).unwrap();
             assert_eq!(g, g2);
             assert_eq!(GenPoly::from_poly(g.to_poly()).unwrap(), g);
+            // The reversed form is a width-bit reflection of the normal one.
+            assert_eq!(g.reversed() & !g.mask(), 0, "width {w}");
+            assert_eq!(g.reversed().reverse_bits() >> (64 - w), g.normal());
         }
+        let ieee = GenPoly::from_koopman(32, 0x82608EDB).unwrap();
+        assert_eq!(ieee.reversed(), 0xEDB8_8320);
+        assert_eq!(ieee.to_poly().mask(), 0x1_04C1_1DB7);
+        // The paper's Castagnoli 0x8F6E37A0 is exactly CRC-32C.
+        assert_eq!(
+            GenPoly::from_koopman(32, 0x8F6E37A0).unwrap().normal(),
+            0x1EDC_6F41
+        );
     }
 
     #[test]
@@ -211,6 +240,11 @@ mod tests {
         assert!(GenPoly::from_normal(8, 0x06).is_err());
         // Koopman value without the top bit.
         assert!(GenPoly::from_koopman(32, 0x12345678).is_err());
+        // A full polynomial needs a constant term and a degree in range:
+        // `x` has neither, `x^8` lacks the +1, zero has no degree.
+        assert!(GenPoly::from_poly(Poly::from_mask(0b10)).is_err());
+        assert!(GenPoly::from_poly(Poly::from_mask(0x100)).is_err());
+        assert!(GenPoly::from_poly(Poly::ZERO).is_err());
     }
 
     #[test]

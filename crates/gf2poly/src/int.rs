@@ -152,6 +152,30 @@ pub fn lcm_u128(a: u128, b: u128) -> u128 {
     (a / g).saturating_mul(b)
 }
 
+/// Binomial coefficient `C(n, k)` in `u128`: exact, saturating only at
+/// the `u128` ceiling, far beyond every count the workspace takes.
+///
+/// ```
+/// use gf2poly::int::binomial;
+/// // Weight-4 error patterns in a 12,144-bit codeword.
+/// assert_eq!(binomial(12144, 4), 905_776_814_103_876);
+/// ```
+#[inline]
+pub fn binomial(n: u128, k: u32) -> u128 {
+    let k = k as u128;
+    if k > n {
+        return 0;
+    }
+    let k = k.min(n - k);
+    let mut acc: u128 = 1;
+    // Ascending factors keep every intermediate division exact:
+    // after step i, acc = C(n - k + i + 1, i + 1).
+    for i in 0..k {
+        acc = acc.saturating_mul(n - k + i + 1) / (i + 1);
+    }
+    acc
+}
+
 /// Full prime factorization of `n` as sorted `(prime, exponent)` pairs.
 ///
 /// ```
@@ -297,6 +321,21 @@ mod tests {
                 (6700417, 1)
             ]
         );
+    }
+
+    #[test]
+    fn choose_counts() {
+        assert_eq!(binomial(5, 2), 10);
+        assert_eq!(binomial(5, 0), 1);
+        assert_eq!(binomial(10, 0), 1);
+        assert_eq!(binomial(3, 5), 0);
+        assert_eq!(binomial(5, 7), 0);
+        assert_eq!(binomial(31, 15), 300_540_195);
+        assert_eq!(binomial(12144, 4), 905_776_814_103_876);
+        // Symmetric: the k > n/2 half takes the short loop.
+        assert_eq!(binomial(31, 16), binomial(31, 15));
+        // Past the u128 ceiling the product saturates instead of overflowing.
+        assert!(binomial(1 << 64, 4) > 1 << 120);
     }
 
     #[test]

@@ -264,7 +264,7 @@ mod tests {
         // computation shows x has full order 2^32 − 1, i.e. the polynomial
         // IS primitive — consistent with the paper's own Table 1, where
         // 802.3 keeps HD=3 beyond 131072 bits (a small order would cap it).
-        // We record the prose statement as a paper erratum in EXPERIMENTS.md.
+        // The prose statement is a paper erratum; see docs/REPRODUCTION.md.
         let ieee = Poly::from_mask(0x1_04C1_1DB7);
         assert!(is_irreducible(ieee));
         assert!(is_primitive(ieee));

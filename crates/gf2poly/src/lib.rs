@@ -31,12 +31,17 @@
 //! CRC generators up to width 64 and all products arising during their
 //! factorization. Arithmetic that could exceed that cap returns an error
 //! rather than silently truncating.
+//!
+//! [`GenPoly`] is the validated CRC generator built on it, the one
+//! generator type of the workspace: it converts between the paper's
+//! Koopman notation and the normal and reversed forms of the standards.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod class;
 pub mod factor;
+pub mod genpoly;
 pub mod int;
 pub mod irred;
 pub mod modring;
@@ -46,6 +51,7 @@ pub mod rng;
 
 pub use class::FactorClass;
 pub use factor::{factor, FactorSignature, Factorization};
+pub use genpoly::GenPoly;
 pub use irred::{count_irreducibles, is_irreducible, is_primitive};
 pub use modring::{fold_constants, ModCtx};
 pub use order::order_of_x;
@@ -69,6 +75,10 @@ pub enum Error {
     ZeroPolynomial,
     /// A polynomial string could not be parsed.
     Parse(String),
+    /// CRC generator width outside the supported 3..=64 range.
+    UnsupportedWidth(u32),
+    /// A generator value does not fit its width or lacks required bits.
+    BadGenerator(String),
 }
 
 impl fmt::Display for Error {
@@ -81,6 +91,8 @@ impl fmt::Display for Error {
             Error::DivisibleByX => write!(f, "polynomial must have a nonzero constant term"),
             Error::ZeroPolynomial => write!(f, "operation is undefined for the zero polynomial"),
             Error::Parse(s) => write!(f, "invalid polynomial syntax: {s}"),
+            Error::UnsupportedWidth(w) => write!(f, "unsupported CRC width {w} (need 3..=64)"),
+            Error::BadGenerator(s) => write!(f, "bad generator polynomial: {s}"),
         }
     }
 }

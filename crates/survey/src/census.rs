@@ -45,6 +45,7 @@ use crate::engine::Campaign;
 use crate::json::Json;
 use crate::{Error, Result};
 use crc_hd::distribution::Nat;
+use gf2poly::int::binomial;
 use gf2poly::{wilson, FactorClass, SplitMix64};
 
 /// One census stratum: an exactly sized, uniformly sampleable subset of
@@ -70,7 +71,7 @@ impl Stratum {
     /// Exact number of member polynomials for width `width`.
     pub fn size(&self, width: u32) -> u128 {
         match self {
-            Stratum::Taps(t) => binomial(width as u64 - 1, *t as u64 - 1),
+            Stratum::Taps(t) => binomial(width as u128 - 1, *t - 1),
             Stratum::Class(c) => c.size(),
         }
     }
@@ -88,9 +89,9 @@ impl Stratum {
                 // Free coefficient bits in Koopman notation are
                 // 0..width−2 (normal bits 1..width−1 shifted down by
                 // the implicit +1); the top bit width−1 is always set.
-                let m = width as u64 - 1;
-                let k = *t as u64 - 1;
-                let idx = rng.next_below(binomial(m, k) as u64);
+                let m = width - 1;
+                let k = *t - 1;
+                let idx = rng.next_below(binomial(m as u128, k) as u64);
                 Ok((1u64 << (width - 1)) | unrank_combination(m, k, idx))
             }
             Stratum::Class(c) => {
@@ -158,27 +159,11 @@ pub fn validate_classes(width: u32, classes: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// Exact binomial coefficient `C(n, k)` (ascending-factor form keeps
-/// every intermediate division exact). The census uses it for stratum
-/// sizes and unranking at `n ≤ 31`, far inside `u128` range.
-pub fn binomial(n: u64, k: u64) -> u128 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let (n, k) = (n as u128, k as u128);
-    let mut acc: u128 = 1;
-    for i in 0..k {
-        acc = acc * (n - k + i + 1) / (i + 1);
-    }
-    acc
-}
-
 /// Decodes combination index `idx` (in `0..C(m, k)`) to the bit mask of
 /// `k` set positions among `0..m` — the decreasing combinadic, so the
 /// map is a bijection and uniform indices give uniform combinations.
-pub fn unrank_combination(m: u64, k: u64, idx: u64) -> u64 {
-    debug_assert!((idx as u128) < binomial(m, k));
+pub fn unrank_combination(m: u32, k: u32, idx: u64) -> u64 {
+    debug_assert!((idx as u128) < binomial(m as u128, k));
     let mut idx = idx as u128;
     let mut k = k;
     let mut mask = 0u64;
@@ -186,7 +171,7 @@ pub fn unrank_combination(m: u64, k: u64, idx: u64) -> u64 {
         if k == 0 {
             break;
         }
-        let c = binomial(p, k);
+        let c = binomial(p as u128, k);
         if idx >= c {
             idx -= c;
             mask |= 1 << p;
@@ -493,12 +478,12 @@ mod tests {
 
     #[test]
     fn unranking_is_a_bijection() {
-        let (m, k) = (7u64, 3u64);
-        let n = binomial(m, k) as u64;
+        let (m, k) = (7u32, 3u32);
+        let n = binomial(m as u128, k) as u64;
         let mut seen = std::collections::BTreeSet::new();
         for idx in 0..n {
             let mask = unrank_combination(m, k, idx);
-            assert_eq!(mask.count_ones() as u64, k);
+            assert_eq!(mask.count_ones(), k);
             assert!(mask < 1 << m);
             assert!(seen.insert(mask), "duplicate combination {mask:#b}");
         }

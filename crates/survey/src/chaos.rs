@@ -407,6 +407,10 @@ impl<T: ServeTransport> ServeTransport for ChaosTransport<T> {
         })
     }
 
+    fn finish(&mut self) -> Result<()> {
+        self.inner.finish()
+    }
+
     fn wire_stats(&self) -> WireStats {
         self.inner.wire_stats().merged(self.wire.snapshot())
     }

@@ -185,13 +185,6 @@ impl Coordinator {
         self.summary
     }
 
-    /// Shards currently leased out, ascending.
-    pub fn leased_shards(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.leases.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     fn expire_leases(&mut self, now: Instant) {
         let expired: Vec<u64> = self
             .leases
@@ -272,13 +265,6 @@ impl Coordinator {
             leases,
             workers,
         }
-    }
-
-    /// Records the serving transport's latest wire-level framing
-    /// snapshot, so status reports and the persisted summary carry the
-    /// fault counters.
-    pub fn set_wire_stats(&mut self, wire: WireStats) {
-        self.wire = wire;
     }
 
     /// Answers one request as of `now` (injected for testable expiry).
@@ -460,7 +446,9 @@ impl Coordinator {
     /// (complete, or degraded-terminal with every pending shard
     /// quarantined — see [`Coordinator::is_terminal`]), then lingers
     /// for `linger` so workers parked in [`Reply::Wait`] backoff can
-    /// still learn it is [`Reply::Done`].
+    /// still learn it is [`Reply::Done`]. On the way out it calls
+    /// [`ServeTransport::finish`], so a request that arrives after the
+    /// linger still learns it.
     ///
     /// A transport that waits for requests (TCP) is called straight
     /// back, so a request is answered as soon as it arrives; one that
@@ -494,6 +482,7 @@ impl Coordinator {
                 let since = *complete_since.get_or_insert_with(Instant::now);
                 if !served && since.elapsed() >= linger {
                     self.write_summary()?;
+                    transport.finish()?;
                     return Ok(self.summary);
                 }
             } else {
@@ -530,7 +519,9 @@ mod tests {
     use crate::campaign::{CampaignConfig, Mode};
     use crate::engine::{evaluate_unit, UnitScratch};
     use crate::json::Json;
-    use crate::transport::{TcpClient, TcpServer, WorkerTransport};
+    use crate::transport::{
+        FileQueueClient, FileQueueServer, TcpClient, TcpServer, WorkerTransport,
+    };
     use crate::Error;
 
     fn test_config() -> CampaignConfig {
@@ -991,5 +982,49 @@ mod tests {
         // loop ends on its next idle return.
         assert_eq!(coord_thread.join().unwrap().shards_recorded, 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_queue_requests_queued_after_serve_returns_get_done() {
+        let (mut coord, dir) = fresh_coordinator("fq-done", Duration::from_secs(60));
+        let config = coord.campaign().config().clone();
+        let queue = dir.with_extension("queue");
+        let _ = std::fs::remove_dir_all(&queue);
+        let mut server = FileQueueServer::new(&queue).unwrap();
+        for shard in 0..3 {
+            let log = shard_log(&config, shard);
+            coord.handle(
+                Request::Submit {
+                    worker: "w".into(),
+                    log,
+                },
+                Instant::now(),
+            );
+        }
+        let poll = Duration::from_millis(10);
+        coord.serve(&mut server, poll, Duration::ZERO).unwrap();
+        // A worker's resent submission lands after the coordinator has
+        // gone; no one will ever serve it.
+        let mut client = FileQueueClient::new(&queue, "w")
+            .unwrap()
+            .with_timing(poll, Duration::from_secs(30));
+        let t = Instant::now();
+        let reply = client
+            .call(&Request::Submit {
+                worker: "w".into(),
+                log: shard_log(&config, 2),
+            })
+            .unwrap();
+        assert_eq!(reply, Reply::Done);
+        assert!(t.elapsed() < poll * 20, "answered after {:?}", t.elapsed());
+        // A new coordinator on the same queue clears the stale marker.
+        FileQueueServer::new(&queue).unwrap();
+        let mut client = client.with_timing(poll, poll * 5);
+        let err = client
+            .call(&Request::Lease { worker: "w".into() })
+            .unwrap_err();
+        assert!(err.is_retryable(), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&queue);
     }
 }

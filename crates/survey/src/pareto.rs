@@ -40,7 +40,7 @@ pub enum PudAxis {
 /// Propagates [`crc_hd::Error`] from polynomial reconstruction or a
 /// distribution whose cost estimate exceeds the default budget.
 pub fn exact_pud_curve(rec: &SurvivorRecord, cfg: &CampaignConfig) -> Result<Vec<f64>> {
-    let g = GenPoly::from_koopman(rec.width, rec.koopman)?;
+    let g = GenPoly::from_koopman(rec.width, rec.koopman).map_err(crc_hd::Error::from)?;
     let dist = distribution(&g, cfg.ref_len())?;
     Ok(cfg.ber_grid.iter().map(|&b| dist.p_ud(b)).collect())
 }

@@ -8,7 +8,9 @@
 //!   shared directory (NFS-friendly, no ports, trivially debuggable):
 //!   workers drop request files into `inbox/` with an atomic rename and
 //!   poll `outbox/<worker>/` for the matching reply file. Sequence
-//!   numbers in the file names pair requests with replies.
+//!   numbers in the file names pair requests with replies. A
+//!   coordinator that finished leaves a framed [`Reply::Done`] in
+//!   `done.json`, which answers every request it will never serve.
 //! * **TCP** ([`TcpClient`] / [`TcpServer`]) — line-delimited JSON over
 //!   `std::net`: one connection per request, one compact-rendered
 //!   request line in, one reply line back.
@@ -587,6 +589,18 @@ pub trait ServeTransport {
     /// directory, dead listener).
     fn serve_one(&mut self, handler: &mut dyn FnMut(Request) -> Reply) -> Result<bool>;
 
+    /// Tells clients the campaign is over, once serving has stopped for
+    /// good. The file queue leaves a terminal marker that answers every
+    /// request still queued with [`Reply::Done`]; the default does
+    /// nothing (a TCP client whose server is gone is refused at once).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when the marker cannot be written.
+    fn finish(&mut self) -> Result<()> {
+        Ok(())
+    }
+
     /// Frame/fault counters observed by this transport end so far.
     fn wire_stats(&self) -> WireStats {
         WireStats::default()
@@ -600,6 +614,9 @@ pub trait ServeTransport {
 fn io_err<T>(what: &str, path: &Path, e: std::io::Error) -> Result<T> {
     Err(Error::Io(format!("{what} {}: {e}", path.display())))
 }
+
+/// The file-queue terminal marker, in the queue root.
+const DONE_MARKER: &str = "done.json";
 
 fn write_file_atomic(dir: &Path, tmp_dir: &Path, name: &str, contents: &str) -> Result<()> {
     let tmp = tmp_dir.join(name);
@@ -651,6 +668,23 @@ impl FileQueueClient {
         self.timeout = timeout;
         self
     }
+
+    /// Reads the framed reply at `path`, `None` while it does not exist.
+    /// With `consume` the file is removed once read.
+    fn read_reply(&self, path: &Path, consume: bool) -> Result<Option<Reply>> {
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return io_err("read", path, e),
+        };
+        if consume {
+            let _ = std::fs::remove_file(path);
+        }
+        let payload = frame::decode(&text).inspect_err(|_| {
+            self.stats.count_rejected();
+        })?;
+        Ok(Some(Reply::from_json(&Json::parse(payload)?)?))
+    }
 }
 
 impl WorkerTransport for FileQueueClient {
@@ -669,18 +703,16 @@ impl WorkerTransport for FileQueueClient {
             .join("outbox")
             .join(&self.worker)
             .join(format!("rsp-{:08}.json", self.seq));
+        let marker = self.root.join(DONE_MARKER);
         let deadline = Instant::now() + self.timeout;
         loop {
-            match std::fs::read_to_string(&rsp) {
-                Ok(text) => {
-                    let _ = std::fs::remove_file(&rsp);
-                    let payload = frame::decode(&text).inspect_err(|_| {
-                        self.stats.count_rejected();
-                    })?;
-                    return Reply::from_json(&Json::parse(payload)?);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return io_err("read", &rsp, e),
+            if let Some(reply) = self.read_reply(&rsp, true)? {
+                return Ok(reply);
+            }
+            // The server writes every reply before the marker, so once
+            // the marker exists a reply that is still missing never comes.
+            if let Some(done) = self.read_reply(&marker, false)? {
+                return Ok(self.read_reply(&rsp, true)?.unwrap_or(done));
             }
             if Instant::now() >= deadline {
                 return Err(Error::Io(format!(
@@ -705,14 +737,23 @@ pub struct FileQueueServer {
 }
 
 impl FileQueueServer {
-    /// Opens (and creates, if needed) the queue at `root`.
+    /// Opens (and creates, if needed) the queue at `root`, removing the
+    /// terminal marker a previous coordinator left.
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] when the queue directories cannot be created.
+    /// [`Error::Io`] when the queue directories cannot be created or a
+    /// stale marker cannot be removed.
     pub fn new(root: &Path) -> Result<FileQueueServer> {
         for d in [root.join("inbox"), root.join("outbox"), root.join("tmp")] {
             std::fs::create_dir_all(&d).or_else(|e| io_err("create", &d, e))?;
+        }
+        let marker = root.join(DONE_MARKER);
+        match std::fs::remove_file(&marker) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return io_err("remove", &marker, e)
+            }
+            _ => {}
         }
         Ok(FileQueueServer {
             root: root.to_path_buf(),
@@ -806,6 +847,15 @@ impl ServeTransport for FileQueueServer {
                 Ok(true)
             }
         }
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        write_file_atomic(
+            &self.root,
+            &self.root.join("tmp"),
+            DONE_MARKER,
+            &frame::encode(&Reply::Done.to_json().render_compact()),
+        )
     }
 
     fn wire_stats(&self) -> WireStats {

@@ -257,9 +257,15 @@ pub fn run_worker(
                             "coordinator refused shard {shard}: {reason}"
                         )));
                     }
+                    // The coordinator finished without serving this
+                    // submission: the campaign is over either way.
+                    Reply::Done => {
+                        summary.retries = retrier.retries;
+                        return Ok(summary);
+                    }
                     other => {
                         return Err(Error::Parse(format!(
-                            "expected accepted/refused, got {other:?}"
+                            "expected accepted/refused/done, got {other:?}"
                         )))
                     }
                 }
@@ -298,13 +304,8 @@ mod tests {
     use crate::transport::{FileQueueClient, FileQueueServer, ServeTransport};
     use std::time::Instant;
 
-    #[test]
-    fn worker_drives_a_campaign_over_the_file_queue() {
-        let base = std::env::temp_dir().join(format!("crc-worker-fq-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        let dir = base.join("campaign");
-        let queue = base.join("queue");
-        let config = CampaignConfig {
+    fn tiny_config() -> CampaignConfig {
+        CampaignConfig {
             width: 10,
             shards: 4,
             seed: 3,
@@ -313,8 +314,16 @@ mod tests {
             target_lengths: vec![16, 64],
             ber_grid: vec![1e-5],
             max_weight: 6,
-        };
-        let campaign = Campaign::create(&dir, config).unwrap();
+        }
+    }
+
+    #[test]
+    fn worker_drives_a_campaign_over_the_file_queue() {
+        let base = std::env::temp_dir().join(format!("crc-worker-fq-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let dir = base.join("campaign");
+        let queue = base.join("queue");
+        let campaign = Campaign::create(&dir, tiny_config()).unwrap();
         let mut coord = Coordinator::new(campaign, Duration::from_secs(60));
         let mut server = FileQueueServer::new(&queue).unwrap();
         let coord_thread = std::thread::spawn(move || {
@@ -347,6 +356,47 @@ mod tests {
         let reopened = Campaign::open(&dir).unwrap();
         assert!(reopened.is_complete());
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A coordinator that hands out shard 0 and then finishes without
+    /// serving the submission.
+    struct EndsBeforeSubmit(CampaignConfig);
+
+    impl WorkerTransport for EndsBeforeSubmit {
+        fn call(&mut self, req: &Request) -> crate::Result<Reply> {
+            Ok(match req {
+                Request::Hello { .. } => Reply::Welcome {
+                    config: self.0.to_json(),
+                    config_hash: format!("{:#018x}", self.0.content_hash()),
+                },
+                Request::Lease { .. } => {
+                    let unit = self.0.work_unit(0);
+                    Reply::Assign {
+                        shard: 0,
+                        start: unit.start,
+                        end: unit.end,
+                    }
+                }
+                _ => Reply::Done,
+            })
+        }
+    }
+
+    #[test]
+    fn done_after_a_submit_ends_the_worker() {
+        let summary = run_worker(
+            &mut EndsBeforeSubmit(tiny_config()),
+            &WorkerOptions {
+                name: "w".into(),
+                max_shards: None,
+                retry: fast_policy(),
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            summary.shards_submitted, 0,
+            "the submission was never accepted"
+        );
     }
 
     /// A transport that fails (or asks for a resend) a fixed number of

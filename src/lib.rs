@@ -1,12 +1,15 @@
 //! Umbrella crate for the reproduction of Koopman's DSN 2002 paper
 //! *"32-Bit Cyclic Redundancy Codes for Internet Applications"*.
 //!
-//! Re-exports the four workspace crates under one roof:
+//! Re-exports the five workspace crates under one roof:
 //!
 //! * [`gf2poly`] — polynomial algebra over GF(2) (factorization, order,
-//!   irreducibility, the paper's `{d1,..,dk}` classes).
+//!   irreducibility, the paper's `{d1,..,dk}` classes) and the one
+//!   generator type, [`gf2poly::GenPoly`], with its Koopman / normal /
+//!   reversed notation conversions.
 //! * [`crckit`] — the CRC engine a downstream user adopts (Rocksoft
-//!   parameters, three engines, notation conversions, framing, catalog).
+//!   parameters, two engine tiers plus a bit-at-a-time oracle, framing,
+//!   catalog).
 //! * [`crc_hd`] — the paper's contribution: Hamming-distance evaluation,
 //!   `d_min` searches, weight counting, HD profiles, the §4.1 filtering
 //!   pipeline, and exhaustive/sampled polynomial search.

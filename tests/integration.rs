@@ -121,6 +121,9 @@ fn umbrella_reexports_work_together() {
     let full = g.to_poly();
     let fac = koopman_crc::gf2poly::factor(full);
     assert!(fac.is_irreducible());
+    // One generator type: crc-hd's value drives crckit's hardware view.
+    let lfsr = koopman_crc::crckit::GaloisLfsr::new(g);
+    assert_eq!(lfsr.tap_count(), 13);
     let crc = koopman_crc::crckit::Crc::new(koopman_crc::crckit::catalog::CRC32_ISO_HDLC);
     assert_eq!(crc.checksum(b"123456789"), 0xCBF4_3926);
 }

@@ -3,7 +3,6 @@
 //! in the `table1` experiment binary).
 
 use koopman_crc::crc_hd::{dmin, weights, GenPoly, HdProfile};
-use koopman_crc::crckit::notation::PolyForm;
 use koopman_crc::gf2poly::{factor, order_of_x, Poly};
 
 fn g32(koopman: u64) -> GenPoly {
@@ -90,7 +89,7 @@ fn section3_castagnoli_factorizations() {
 
 #[test]
 fn iscsi_poly_is_crc32c_and_keeps_hd4_past_horizon() {
-    let p = PolyForm::from_koopman(32, 0x8F6E37A0).unwrap();
+    let p = g32(0x8F6E37A0);
     assert_eq!(p.normal(), 0x1EDC_6F41, "0x8F6E37A0 is CRC-32C");
     // {1,31} with primitive deg-31 factor: order 2^31 − 1, so its HD=4
     // span runs far past the 131072-bit horizon of Figure 1.
