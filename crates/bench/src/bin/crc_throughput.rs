@@ -1,11 +1,15 @@
 //! Engine-tier throughput measurement with a machine-readable trail.
 //!
-//! Measures both [`EngineKind`] tiers and the auto dispatch of [`Crc::checksum`]
-//! on representative catalog algorithms at real frame sizes (16 B acks to
-//! 64 KiB buffers; 128 B is the one size in the 128-bit folding kernel's
-//! range on hosts that have the 512-bit one), prints ns per call and GiB/s tables, checks the
-//! acceptance gates, and writes `BENCH_crc_throughput.json` so the
-//! performance trajectory stays diffable from PR to PR. The gates:
+//! Measures both [`EngineKind`] tiers, each a [`Crc`] pinned through
+//! [`Crc::try_with_engine`], and the auto-selected [`Crc::new`] on
+//! representative catalog algorithms at real frame sizes (16 B acks,
+//! 44 B — the length an IMIX ack is verified at — to 64 KiB buffers; 128
+//! B is the one size in the 128-bit folding kernel's range on hosts that
+//! have the 512-bit one), plus a `ctor_ns` row per tier timing
+//! `Crc::try_with_engine` itself. It prints ns per call and GiB/s
+//! tables, checks the acceptance gates, and writes
+//! `BENCH_crc_throughput.json` so the performance trajectory stays
+//! diffable from PR to PR. The gates:
 //!
 //! * CLMUL ≥ 3× slice-by-16 on 64 KiB CRC-32/ISO-HDLC where the hardware
 //!   supports it;
@@ -29,7 +33,7 @@ use crckit::{catalog, Crc, CrcParams, EngineKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// A measured column: one pinned tier, or the auto dispatch.
+/// A measured column: one pinned tier, or the auto-selected one.
 #[derive(Clone, Copy, PartialEq)]
 enum Column {
     Tier(EngineKind),
@@ -50,11 +54,11 @@ impl Column {
         }
     }
 
-    #[inline]
-    fn run(self, crc: &Crc, data: &[u8]) -> u64 {
+    /// The column's engine for `params`.
+    fn build(self, params: CrcParams) -> Crc {
         match self {
-            Column::Tier(kind) => crc.checksum_with(kind, data),
-            Column::Auto => crc.checksum(data),
+            Column::Tier(kind) => Crc::try_with_engine(params, kind).expect("catalog parameters"),
+            Column::Auto => Crc::new(params),
         }
     }
 }
@@ -73,21 +77,26 @@ impl Sample {
     }
 }
 
-/// Calls per timed batch, so each batch runs ≥ ~2 ms.
-fn calibrate(crc: &Crc, column: Column, data: &[u8]) -> usize {
+/// Calls of `f` per timed batch, so each batch runs ≥ ~2 ms.
+fn calibrate<T>(mut f: impl FnMut() -> T) -> usize {
     let start = Instant::now();
-    std::hint::black_box(column.run(crc, data));
+    std::hint::black_box(f());
     let once = start.elapsed().as_secs_f64().max(1e-8);
     ((2e-3 / once) as usize).clamp(1, 1_000_000)
 }
 
-/// Nanoseconds per call over one batch of `calls`.
-fn batch(crc: &Crc, column: Column, data: &[u8], calls: usize) -> f64 {
+/// Nanoseconds per call of `f` over one batch of `calls`.
+fn batch<T>(calls: usize, mut f: impl FnMut() -> T) -> f64 {
     let start = Instant::now();
     for _ in 0..calls {
-        std::hint::black_box(column.run(crc, std::hint::black_box(data)));
+        std::hint::black_box(f());
     }
     start.elapsed().as_secs_f64() * 1e9 / calls as f64
+}
+
+/// One checksum of `data`, opaque to the optimizer.
+fn checksum(crc: &Crc, data: &[u8]) -> u64 {
+    crc.checksum(std::hint::black_box(data))
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -108,7 +117,7 @@ fn main() {
         catalog::CRC64_GO_ISO,
         catalog::CRC16_ARC, // the one narrow width
     ];
-    let sizes = [16usize, 40, 128, 576, 1514, 65_536];
+    let sizes = [16usize, 40, 44, 128, 576, 1514, 65_536];
 
     let clmul_hw = EngineKind::Clmul.is_hardware_accelerated();
     let default = Crc::new(catalog::CRC32_ISO_HDLC).engine();
@@ -122,21 +131,22 @@ fn main() {
     println!("  auto/best");
 
     let mut samples: Vec<Sample> = Vec::new();
+    let mut ctor_ns = Vec::new();
     let mut auto_misses = Vec::new();
     for params in algorithms {
-        let crc = Crc::new(params);
+        let crcs: Vec<Crc> = Column::ALL.iter().map(|c| c.build(params)).collect();
         for &size in &sizes {
             let data: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
-            let calls: Vec<usize> = Column::ALL
+            let calls: Vec<usize> = crcs
                 .iter()
-                .map(|&c| calibrate(&crc, c, &data))
+                .map(|crc| calibrate(|| checksum(crc, &data)))
                 .collect();
             let mut times = vec![Vec::new(); Column::ALL.len()];
             let mut auto_vs_best = Vec::new();
             for _ in 0..reps.max(1) {
                 let mut best = f64::MAX;
                 for (i, &column) in Column::ALL.iter().enumerate() {
-                    let ns = batch(&crc, column, &data, calls[i]);
+                    let ns = batch(calls[i], || checksum(&crcs[i], &data));
                     times[i].push(ns);
                     if column == Column::Auto {
                         auto_vs_best.push(ns / best);
@@ -165,6 +175,28 @@ fn main() {
                 ));
             }
         }
+        // Construction cost per tier: what a caller pays per `Crc`.
+        let build = |kind: EngineKind| {
+            let p = std::hint::black_box(params);
+            Crc::try_with_engine(p, kind).expect("catalog parameters")
+        };
+        let calls: Vec<usize> = EngineKind::ALL
+            .iter()
+            .map(|&kind| calibrate(|| build(kind)))
+            .collect();
+        let mut times = vec![Vec::new(); EngineKind::ALL.len()];
+        for _ in 0..reps.max(1) {
+            for (i, &kind) in EngineKind::ALL.iter().enumerate() {
+                times[i].push(batch(calls[i], || build(kind)));
+            }
+        }
+        print!("{:<18} {:>7} ", params.name, "ctor_ns");
+        for (&kind, times) in EngineKind::ALL.iter().zip(times) {
+            let ns = median(times);
+            print!(" {ns:>10.1}");
+            ctor_ns.push((params.name, kind, ns));
+        }
+        println!();
     }
 
     let ns = |alg: &str, column: Column, size: usize| {
@@ -191,11 +223,11 @@ fn main() {
     );
     for size in [128usize, 1514, 65_536] {
         let data: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
-        let calls = calibrate(&iso, Column::Auto, &data);
+        let calls = calibrate(|| checksum(&iso, &data));
         let ratios = (0..3 * reps.max(1))
             .map(|_| {
-                let reflected = batch(&iso, Column::Auto, &data, calls);
-                reflected / batch(&bzip2, Column::Auto, &data, calls)
+                let reflected = batch(calls, || checksum(&iso, &data));
+                reflected / batch(calls, || checksum(&bzip2, &data))
             })
             .collect();
         let r = median(ratios);
@@ -233,6 +265,16 @@ fn main() {
         writeln!(json, "  \"gate_bzip2_vs_iso_hdlc_{size}\": {r:.3},").unwrap();
     }
     writeln!(json, "  \"auto_misses\": {},", auto_misses.len()).unwrap();
+    writeln!(json, "  \"ctor_ns\": [").unwrap();
+    for (i, (algorithm, kind, ns)) in ctor_ns.iter().enumerate() {
+        let comma = if i + 1 == ctor_ns.len() { "" } else { "," };
+        writeln!(
+            json,
+            "    {{\"algorithm\": \"{algorithm}\", \"engine\": \"{kind}\", \"ns\": {ns:.1}}}{comma}"
+        )
+        .unwrap();
+    }
+    writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"results\": [").unwrap();
     for (i, s) in samples.iter().enumerate() {
         let comma = if i + 1 == samples.len() { "" } else { "," };

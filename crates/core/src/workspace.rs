@@ -100,9 +100,10 @@ use gf2poly::GenPoly;
 /// At or below this width both syndrome values and first-occurrence
 /// positions fit in `u16` (first occurrences are bounded by the
 /// multiplicative order, which is `< 2^width`), so the table is
-/// `2 × 2^width` bytes — 16 KiB at 16 bits — and the whole sweep working
-/// set stays L1-resident. Wider generators use the [`PosMap`] hash
-/// fallback.
+/// `2 × 2^width` bytes: 16 KiB at 13 bits, where the whole sweep working
+/// set stays L1-resident, and 128 KiB at 16 bits, more than a 48 KiB L1d
+/// holds, so probes there mostly hit L2. Wider generators use the
+/// [`PosMap`] hash fallback.
 pub const DIRECT_INDEX_MAX_WIDTH: u32 = 16;
 
 /// "Slot empty" sentinel of the direct index. `u16::MAX` (not 0) so the
@@ -936,7 +937,8 @@ impl SyndromeWorkspace {
             let sweep = match self.kind {
                 IndexKind::Direct => {
                     // Collision-free probes: build the whole index once,
-                    // then run the L1-resident u16 kernel.
+                    // then run the u16 kernel (its table is L1-resident
+                    // up to 13 bits; see DIRECT_INDEX_MAX_WIDTH).
                     self.ensure_indexed(codeword_len - 2);
                     self.ensure_syn16(codeword_len - 1);
                     let (tbl, mask) = self.direct_table();
@@ -1184,9 +1186,10 @@ impl SyndromeWorkspace {
 }
 
 /// The direct-index weights sweep, specialized to the `u16` value/
-/// position domain so the probe table and the syndrome row share L1
-/// (see [`DIRECT_INDEX_MAX_WIDTH`]). Semantically identical to
-/// [`sweep_w34`] with a direct-table lookup.
+/// position domain, which halves the probe table and the syndrome row
+/// against `u32` (they share L1 up to 13 bits; see
+/// [`DIRECT_INDEX_MAX_WIDTH`]). Semantically identical to [`sweep_w34`]
+/// with a direct-table lookup.
 fn sweep_w34_direct(
     syn16: &[u16],
     tbl: &[u16],

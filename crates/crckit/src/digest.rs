@@ -36,7 +36,7 @@ impl<'a> Digest<'a> {
     /// Absorbs more input bytes on the engine's selected tier, so large
     /// streamed updates run as fast as one-shot checksums.
     pub fn update(&mut self, bytes: &[u8]) {
-        self.state = self.crc.update_dispatch_raw(self.state, bytes);
+        self.state = self.crc.update_raw(self.state, bytes);
         self.bytes_fed += bytes.len() as u64;
     }
 

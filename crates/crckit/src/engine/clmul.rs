@@ -3,24 +3,25 @@
 //! Data reduces through 128-bit *folding*: a 128-bit accumulator slides
 //! down the message, each step folded `D` bits forward by two 64×64
 //! carryless multiplies against `x^k mod G` constants
-//! ([`super::fold::FoldTable`]) and XORed with the next 16 bytes. By
-//! input length:
+//! ([`super::fold::Keys`]) and XORed with the next 16 bytes. By input
+//! length:
 //!
-//! * under [`MIN_FOLD`] bytes the slicing engine runs alone — the fold
-//!   set-up and drain cost more than they save;
-//! * from [`MIN_FOLD`] four accumulators stride 64 bytes per step and
-//!   combine into one before the 16-byte tail steps;
+//! * under [`MIN_FOLD`] (16) bytes nothing folds: the message, with the
+//!   state XORed into its first 8 bytes, fits one 128-bit block, which
+//!   goes straight to the reduction below;
+//! * from [`MIN_FOLD`] one accumulator folds 16 bytes per step;
+//! * from [`QUAD_FOLD`] four accumulators stride 64 bytes per step and
+//!   combine into one before the 16-byte steps;
 //! * from [`WIDE_FOLD`], on x86_64 hosts with AVX-512 VPCLMULQDQ and
 //!   GFNI, four 512-bit accumulators (sixteen 128-bit lanes) stride 256
 //!   bytes per step; the remaining whole blocks and chunks each fold in
-//!   one step, in parallel instead of one after another, and a partial
-//!   last chunk shifts in, so no byte tail is left.
+//!   one step, in parallel instead of one after another.
 //!
-//! The final 128-bit residue — by construction congruent to the whole
-//! processed prefix modulo `G` — is serialized back into 16 *virtual
-//! message bytes* and drained through the slicing engine together with
-//! any byte tail. That drain costs a constant ≤ 31 bytes of table work
-//! and sidesteps a per-polynomial Barrett reduction entirely.
+//! Every kernel shifts a partial last chunk in (its spilled head folds
+//! 128 bits forward), so no byte tail is left. A Barrett reduction
+//! ([`super::fold::Barrett`]; Gopal et al., Intel, 2009) then turns the
+//! 128-bit residue — congruent to the whole message modulo `G` — into the
+//! raw state with three multiplies, so the tier holds no lookup table.
 //!
 //! Non-reflected algorithms run the same kernel bodies. In the 128-bit
 //! kernel one byte-reversing shuffle per 16-byte block turns big-endian
@@ -30,9 +31,13 @@
 //! bytes), which turns the message into the reflected message of the
 //! same polynomial: a byte shuffle there competes with VPCLMULQDQ for
 //! one execution port and held CRC-32/BZIP2 to 0.71× of CRC-32/ISO-HDLC
-//! at 64 KiB on a 2-core AVX-512 Xeon, the affine to 0.98×.
+//! at 64 KiB on a 2-core AVX-512 Xeon, the affine to 0.98×. It hands a
+//! non-reflected residue back fully bit-reversed, in the 128-bit
+//! kernel's layout, so every path reduces with the algorithm's own
+//! constants.
 //!
-//! Three multipliers implement the 128-bit fold:
+//! Three multipliers implement the fold and the reduction, each behind
+//! one [`Backend`]:
 //!
 //! * x86_64 `pclmulqdq` (`_mm_clmulepi64_si128`), selected by runtime
 //!   feature detection (and `vpclmulqdq` for the 512-bit loop);
@@ -43,18 +48,19 @@
 //!   (auto-selection picks slicing-by-16 there) — bit-identical output,
 //!   so a pinned `Clmul` is correct everywhere.
 //!
-//! Correctness of the drain rests on two facts the test suite pins down:
-//! from a zero raw state the slicing engine's state is a function of the
-//! message polynomial modulo `G` alone, and an incoming state XORs into
-//! the first 8 message bytes (both directions of the Rocksoft reflection
-//! convention).
+//! An incoming raw state XORs into the first 8 message bytes (both
+//! directions of the Rocksoft reflection convention); a message shorter
+//! than that is instead padded after the state.
 
-use super::fold::{FoldTable, Keys};
-use super::Crc;
+use super::fold::{Barrett, FoldTable, Keys, Powers};
+use crate::params::CrcParams;
 
-/// Shortest input the fold runs on (one 64-byte block for the four
-/// accumulators); shorter inputs go straight to slicing-by-16.
-pub(crate) const MIN_FOLD: usize = 64;
+/// Shortest input that folds (one 16-byte chunk); shorter inputs reduce
+/// directly.
+const MIN_FOLD: usize = 16;
+
+/// Shortest input the four 128-bit accumulators run on.
+const QUAD_FOLD: usize = 64;
 
 /// Shortest input the 4×512-bit loop runs on, where the host has it.
 #[cfg_attr(not(all(feature = "clmul", target_arch = "x86_64")), allow(dead_code))]
@@ -65,7 +71,8 @@ pub(crate) fn hardware_available() -> bool {
     #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
     {
         return std::is_x86_feature_detected!("pclmulqdq")
-            && std::is_x86_feature_detected!("ssse3");
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1");
     }
     #[cfg(all(feature = "clmul", target_arch = "aarch64"))]
     {
@@ -81,47 +88,57 @@ pub(crate) fn wide_available() -> bool {
     hardware_available() && x86::wide_available()
 }
 
-/// Advances a raw state over `bytes` (at least [`MIN_FOLD`] of them) on
-/// the CLMUL tier.
-pub(crate) fn update(crc: &Crc, ft: &FoldTable, state: u64, bytes: &[u8]) -> u64 {
-    debug_assert!(bytes.len() >= MIN_FOLD);
-    let refin = crc.params().refin;
-    let (virt, consumed) = fold_bulk(ft, refin, state, bytes);
-    let mid = crc.update_slice16_raw(0, &virt);
-    crc.update_raw(mid, &bytes[consumed..])
-}
-
-/// Folds the whole 16-byte chunks of `bytes` (at least [`MIN_FOLD`]
-/// bytes; the 512-bit kernel also shifts in a partial last chunk), with
-/// `state` pre-XORed into the first 8 message bytes. Returns the 16 virtual
-/// message bytes the residue serializes to, and how many input bytes
-/// were consumed.
-fn fold_bulk(ft: &FoldTable, refin: bool, state: u64, bytes: &[u8]) -> ([u8; 16], usize) {
+/// The powers of `x` behind `params`'s fold and Barrett constants,
+/// computed on the host's multiplier.
+pub(crate) fn powers(params: &CrcParams) -> Powers {
     #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
-    if hardware_available() {
-        // `wide` is only derived where the 512-bit kernel can run.
-        return match &ft.wide {
-            Some(wide) if bytes.len() >= WIDE_FOLD => {
-                x86::fold_wide_detected(wide, refin, state, bytes)
-            }
-            _ => x86::fold_detected(&ft.keys, refin, state, bytes),
-        };
+    if let Some(powers) = x86::powers(params) {
+        return powers;
     }
     #[cfg(all(feature = "clmul", target_arch = "aarch64"))]
     if hardware_available() {
-        return fold_generic::<aarch64::Pmull>(&ft.keys, refin, state, bytes);
+        return Powers::new::<aarch64::Pmull>(params);
     }
-    fold_generic::<Soft>(&ft.keys, refin, state, bytes)
+    Powers::new::<Soft>(params)
+}
+
+/// Advances a raw state over `bytes` on the CLMUL tier.
+#[inline]
+pub(crate) fn update(ft: &FoldTable, refin: bool, state: u64, bytes: &[u8]) -> u64 {
+    #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
+    if let Some(raw) = x86::update(ft, refin, state, bytes) {
+        return raw;
+    }
+    #[cfg(all(feature = "clmul", target_arch = "aarch64"))]
+    if hardware_available() {
+        return update_generic::<aarch64::Pmull>(&ft.keys, refin, state, bytes);
+    }
+    update_generic::<Soft>(&ft.keys, refin, state, bytes)
+}
+
+/// [`update`] on the scalar kernel and `B`'s multiply; kept out of line
+/// so the hardware dispatch in [`update`] stays small enough to inline.
+#[inline(never)]
+fn update_generic<B: Backend>(keys: &Keys, refin: bool, state: u64, bytes: &[u8]) -> u64 {
+    if bytes.len() < MIN_FOLD {
+        short::<B>(&keys.barrett, refin, state, bytes)
+    } else {
+        reduce::<B>(
+            &keys.barrett,
+            refin,
+            fold_generic::<B>(keys, refin, state, bytes),
+        )
+    }
 }
 
 /// A 64×64→127-bit carryless multiply provider.
-trait Backend {
+pub(crate) trait Backend {
     fn mul(a: u64, b: u64) -> u128;
 }
 
 /// Portable software carryless multiply (one shift-XOR per set bit of the
 /// constant — folding constants average width/2 bits).
-struct Soft;
+pub(crate) struct Soft;
 
 impl Backend for Soft {
     #[inline(always)]
@@ -138,7 +155,7 @@ impl Backend for Soft {
 
 /// One 128-bit accumulator, tracked as (high-degree half, low-degree
 /// half) independent of the bit-order domain.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Acc {
     hi: u64,
     lo: u64,
@@ -170,61 +187,148 @@ fn xor(a: Acc, b: Acc) -> Acc {
     }
 }
 
-/// The shared scalar folding kernel, generic over the multiplier. It
-/// folds in exactly the order of the x86 128-bit kernel, so the two
-/// return equal residues, not merely congruent ones.
-fn fold_generic<B: Backend>(
-    keys: &Keys,
-    refin: bool,
-    state: u64,
-    bytes: &[u8],
-) -> ([u8; 16], usize) {
-    debug_assert!(bytes.len() >= MIN_FOLD);
-    // In the reflected domain the 127-bit product's low integer bits are
-    // the high polynomial degrees; in the normal domain the high bits are.
-    let split = |p: u128| -> Acc {
-        if refin {
-            Acc {
-                hi: p as u64,
-                lo: (p >> 64) as u64,
-            }
-        } else {
-            Acc {
-                hi: (p >> 64) as u64,
-                lo: p as u64,
-            }
+/// A 127-bit product as an accumulator: in the reflected domain the
+/// product's low integer bits are the high polynomial degrees; in the
+/// normal domain the high bits are.
+#[inline(always)]
+fn split(refin: bool, p: u128) -> Acc {
+    if refin {
+        Acc {
+            hi: p as u64,
+            lo: (p >> 64) as u64,
         }
-    };
-    let fold = |acc: Acc, k: (u64, u64)| split(B::mul(acc.hi, k.0) ^ B::mul(acc.lo, k.1));
-
-    let mut acc = [
-        load(refin, &bytes[0..16]),
-        load(refin, &bytes[16..32]),
-        load(refin, &bytes[32..48]),
-        load(refin, &bytes[48..64]),
-    ];
-    acc[0].hi ^= state;
-    let mut pos = 64;
-    while pos + 64 <= bytes.len() {
-        for (i, a) in acc.iter_mut().enumerate() {
-            *a = xor(
-                fold(*a, keys.k[4]),
-                load(refin, &bytes[pos + 16 * i..pos + 16 * i + 16]),
-            );
+    } else {
+        Acc {
+            hi: (p >> 64) as u64,
+            lo: p as u64,
         }
-        pos += 64;
     }
-    let mut s = xor(
-        xor(fold(acc[0], keys.k[3]), fold(acc[1], keys.k[2])),
-        xor(fold(acc[2], keys.k[1]), acc[3]),
-    );
-    while pos + 16 <= bytes.len() {
-        s = xor(fold(s, keys.k[1]), load(refin, &bytes[pos..pos + 16]));
-        pos += 16;
-    }
-    (serialize(refin, s), pos)
 }
 
+/// Barrett reduction of a 128-bit `t` to `t mod G'`, the raw state:
+/// `q = ⌊t_hi·μ / x^64⌋`, then `t ⊕ q·G'` leaves only the low half.
+#[inline(always)]
+fn barrett<B: Backend>(c: &Barrett, refin: bool, t: Acc) -> u64 {
+    let q = split(refin, B::mul(t.hi, c.mu)).hi ^ (t.hi & c.mu_fix);
+    t.lo ^ split(refin, B::mul(q, c.poly)).lo ^ (q & c.poly_fix)
+}
+
+/// The raw state of a message whose folded residue is `v`:
+/// `(V·x^64) mod G'`, once `V`'s high half has folded 128 bits forward.
+#[inline(always)]
+fn reduce<B: Backend>(c: &Barrett, refin: bool, v: Acc) -> u64 {
+    let t = split(refin, B::mul(v.hi, c.fold));
+    barrett::<B>(
+        c,
+        refin,
+        Acc {
+            hi: t.hi ^ v.lo,
+            lo: t.lo,
+        },
+    )
+}
+
+/// The first `1..=8` bytes of `b` as a little-endian `u64`, read without
+/// a copy: two overlapping 4-byte loads, or the first, middle and last
+/// byte.
+#[inline(always)]
+fn load_le_upto8(b: &[u8]) -> u64 {
+    let n = b.len();
+    debug_assert!((1..=8).contains(&n));
+    if n >= 4 {
+        let first = u32::from_le_bytes(b[..4].try_into().expect("4 bytes"));
+        let last = u32::from_le_bytes(b[n - 4..].try_into().expect("4 bytes"));
+        u64::from(first) | u64::from(last) << (8 * (n - 4))
+    } else {
+        u64::from(b[0])
+            | u64::from(b[n / 2]) << (8 * (n / 2))
+            | u64::from(b[n - 1]) << (8 * (n - 1))
+    }
+}
+
+/// Advances `state` over fewer than [`MIN_FOLD`] bytes with one
+/// reduction and no table.
+#[inline(always)]
+fn short<B: Backend>(c: &Barrett, refin: bool, state: u64, bytes: &[u8]) -> u64 {
+    let n = bytes.len();
+    debug_assert!(n < MIN_FOLD);
+    // The state as the little-endian message bytes it XORs into.
+    let s = if refin { state } else { state.swap_bytes() };
+    if n > 8 {
+        // The message, state XORed in and zero-padded in front to 16
+        // bytes, is the residue `V` itself; two overlapping 8-byte loads
+        // read it.
+        let first = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+        let last = u64::from_le_bytes(bytes[n - 8..].try_into().expect("8 bytes"));
+        let msg = (u128::from(first) | u128::from(last) << (8 * (n - 8))) ^ u128::from(s);
+        let block = msg << (8 * (16 - n));
+        reduce::<B>(c, refin, load(refin, &block.to_le_bytes()))
+    } else if n > 0 {
+        // The message is shorter than the state: with `x` the state XORed
+        // with the message bytes, the register is `x·x^(8n)` mod `G'` — a
+        // product of under 128 bits, which only the Barrett step needs.
+        let x = load_le_upto8(bytes) ^ s;
+        let t = if refin {
+            u128::from(x) << (64 - 8 * n)
+        } else {
+            u128::from(x.swap_bytes()) << (8 * n)
+        };
+        barrett::<B>(c, refin, split(refin, t))
+    } else {
+        state
+    }
+}
+
+/// The shared scalar folding kernel, generic over the multiplier, for
+/// inputs of at least [`MIN_FOLD`] bytes with `state` pre-XORed into the
+/// first 8. It folds in exactly the order of the x86 128-bit kernel, so
+/// the two return equal residues, not merely congruent ones.
+fn fold_generic<B: Backend>(keys: &Keys, refin: bool, state: u64, bytes: &[u8]) -> Acc {
+    let n = bytes.len();
+    debug_assert!(n >= MIN_FOLD);
+    let fold = |acc: Acc, k: (u64, u64)| split(refin, B::mul(acc.hi, k.0) ^ B::mul(acc.lo, k.1));
+    let chunk = |pos: usize| load(refin, &bytes[pos..pos + 16]);
+
+    let mut s = chunk(0);
+    s.hi ^= state;
+    let mut pos = 16;
+    if n >= QUAD_FOLD {
+        let mut acc = [s, chunk(16), chunk(32), chunk(48)];
+        pos = 64;
+        while pos + 64 <= n {
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = xor(fold(*a, keys.k[4]), chunk(pos + 16 * i));
+            }
+            pos += 64;
+        }
+        s = xor(
+            xor(fold(acc[0], keys.k[3]), fold(acc[1], keys.k[2])),
+            xor(fold(acc[2], keys.k[1]), acc[3]),
+        );
+    }
+    while pos + 16 <= n {
+        s = xor(fold(s, keys.k[1]), chunk(pos));
+        pos += 16;
+    }
+    let tail = n - pos;
+    if tail > 0 {
+        // The message now ends `s ‖ t` with `tail` bytes `t`. Its last 16
+        // bytes are `s[tail..] ‖ t`; the `tail` bytes of `s` before them,
+        // zero-padded in front, fold 128 bits forward. Byte `i` of a
+        // block is byte `i` of these little-endian `u128`s.
+        let sb = u128::from_le_bytes(serialize(refin, s));
+        let end = u128::from_le_bytes(bytes[n - 16..].try_into().expect("16 bytes"));
+        let head = sb << (8 * (16 - tail));
+        let last = sb >> (8 * tail) | end & (!0u128 << (8 * (16 - tail)));
+        s = xor(
+            fold(load(refin, &head.to_le_bytes()), keys.k[1]),
+            load(refin, &last.to_le_bytes()),
+        );
+    }
+    s
+}
+
+/// The 16 message bytes an accumulator stands for ([`load`] inverted).
 #[inline(always)]
 fn serialize(refin: bool, s: Acc) -> [u8; 16] {
     let mut out = [0u8; 16];
@@ -242,8 +346,33 @@ fn serialize(refin: bool, s: Acc) -> [u8; 16] {
 mod x86 {
     #![allow(unsafe_code)]
 
-    use super::super::fold::Keys;
+    use super::super::fold::{FoldTable, Keys, Powers};
+    use super::{reduce, short, Acc, Backend, MIN_FOLD, QUAD_FOLD, WIDE_FOLD};
+    use crate::params::CrcParams;
     use std::arch::x86_64::*;
+
+    /// `pclmulqdq`-backed multiplier for the reduction and the constant
+    /// derivation. Private to this module: every function here that uses
+    /// it enables the feature and is reached only after detecting it, so
+    /// the intrinsic inlines.
+    struct Pclmul;
+
+    impl Backend for Pclmul {
+        #[inline(always)]
+        fn mul(a: u64, b: u64) -> u128 {
+            // SAFETY: this backend runs only inside the functions below,
+            // which callers reach after detecting pclmulqdq; the transmute
+            // reinterprets 16 initialized bytes.
+            unsafe {
+                let p = _mm_clmulepi64_si128(
+                    _mm_cvtsi64_si128(a as i64),
+                    _mm_cvtsi64_si128(b as i64),
+                    0x00,
+                );
+                std::mem::transmute::<__m128i, u128>(p)
+            }
+        }
+    }
 
     /// Whether the 4×512-bit kernel can run: 512-bit carryless
     /// multiplies, plus GFNI for the bit reversal of non-reflected bytes.
@@ -253,41 +382,97 @@ mod x86 {
             && std::is_x86_feature_detected!("gfni")
     }
 
-    /// Safe wrapper for the 128-bit kernel: callers guarantee
-    /// [`super::hardware_available`] returned true.
-    pub(super) fn fold_detected(
-        keys: &Keys,
-        refin: bool,
-        state: u64,
-        bytes: &[u8],
-    ) -> ([u8; 16], usize) {
-        // SAFETY: only reached after detecting pclmulqdq and ssse3.
+    /// [`super::powers`] on `pclmulqdq`, or `None` on a CPU without it.
+    pub(super) fn powers(params: &CrcParams) -> Option<Powers> {
+        // SAFETY: the required CPU features are detected first.
+        super::hardware_available().then(|| unsafe { powers_detected(params) })
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must pass [`super::hardware_available`].
+    #[target_feature(enable = "pclmulqdq", enable = "sse2")]
+    unsafe fn powers_detected(params: &CrcParams) -> Powers {
+        Powers::new::<Pclmul>(params)
+    }
+
+    /// [`super::update`] on `pclmulqdq`, and on the 512-bit kernel where
+    /// `ft.wide` is set; `None` on a CPU without `pclmulqdq`.
+    #[inline]
+    pub(super) fn update(ft: &FoldTable, refin: bool, state: u64, bytes: &[u8]) -> Option<u64> {
+        // SAFETY: the required CPU features are detected first.
+        super::hardware_available().then(|| unsafe { update_detected(ft, refin, state, bytes) })
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must pass [`super::hardware_available`].
+    #[target_feature(
+        enable = "pclmulqdq",
+        enable = "sse2",
+        enable = "ssse3",
+        enable = "sse4.1"
+    )]
+    unsafe fn update_detected(ft: &FoldTable, refin: bool, state: u64, bytes: &[u8]) -> u64 {
+        let n = bytes.len();
+        let c = &ft.keys.barrett;
+        // Literal reflection flags below let each path compile for its
+        // own domain.
+        if n < MIN_FOLD {
+            return if refin {
+                short::<Pclmul>(c, true, state, bytes)
+            } else {
+                short::<Pclmul>(c, false, state, bytes)
+            };
+        }
+        if let Some(wide) = ft.wide.as_ref().filter(|_| n >= WIDE_FOLD) {
+            // SAFETY: `wide` is only derived where `wide_available` holds,
+            // and `n` is at least WIDE_FOLD.
+            return if refin {
+                reduce::<Pclmul>(
+                    c,
+                    true,
+                    acc::<false>(fold_wide::<false>(wide, state, bytes)),
+                )
+            } else {
+                reduce::<Pclmul>(c, false, acc::<true>(fold_wide::<true>(wide, state, bytes)))
+            };
+        }
+        if refin {
+            reduce::<Pclmul>(c, true, acc::<false>(fold::<false>(&ft.keys, state, bytes)))
+        } else {
+            reduce::<Pclmul>(c, false, acc::<true>(fold::<true>(&ft.keys, state, bytes)))
+        }
+    }
+
+    /// The 128-bit kernel's residue, for the tests that hold it to the
+    /// portable kernel's.
+    #[cfg(test)]
+    pub(super) fn fold_detected(keys: &Keys, refin: bool, state: u64, bytes: &[u8]) -> Acc {
+        assert!(super::hardware_available() && bytes.len() >= MIN_FOLD);
+        // SAFETY: the required CPU features were just detected.
         unsafe {
             if refin {
-                fold::<false>(keys, state, bytes)
+                acc::<false>(fold::<false>(keys, state, bytes))
             } else {
-                fold::<true>(keys, state, bytes)
+                acc::<true>(fold::<true>(keys, state, bytes))
             }
         }
     }
 
-    /// Safe wrapper for the 512-bit kernel: callers guarantee
-    /// [`super::wide_available`] returned true. `keys` is the
-    /// reflected-domain schedule.
-    pub(super) fn fold_wide_detected(
-        keys: &Keys,
-        refin: bool,
-        state: u64,
-        bytes: &[u8],
-    ) -> ([u8; 16], usize) {
-        assert!(bytes.len() >= super::WIDE_FOLD);
-        // SAFETY: only reached after detecting every enabled feature.
-        unsafe {
-            if refin {
-                fold_wide::<false>(keys, state, bytes)
-            } else {
-                fold_wide::<true>(keys, state, bytes)
-            }
+    /// A register as an accumulator: the high-degree half sits in lane 0
+    /// of reflected registers, in lane 1 of byte-reversed (`BSWAP`) ones.
+    #[inline]
+    #[target_feature(enable = "sse2", enable = "sse4.1")]
+    fn acc<const BSWAP: bool>(s: __m128i) -> Acc {
+        let (l0, l1) = (
+            _mm_cvtsi128_si64(s) as u64,
+            _mm_extract_epi64::<1>(s) as u64,
+        );
+        if BSWAP {
+            Acc { hi: l1, lo: l0 }
+        } else {
+            Acc { hi: l0, lo: l1 }
         }
     }
 
@@ -337,70 +522,8 @@ mod x86 {
         )
     }
 
-    /// Stores a register as 16 bytes, lane 0 first.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn store(s: __m128i) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        // SAFETY: `out` is 16 writable bytes; the store is unaligned.
-        unsafe { _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, s) };
-        out
-    }
-
-    /// The 128-bit kernel; folds in the order of `fold_generic`.
-    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "ssse3")]
-    pub(super) unsafe fn fold<const BSWAP: bool>(
-        keys: &Keys,
-        state: u64,
-        bytes: &[u8],
-    ) -> ([u8; 16], usize) {
-        let n = bytes.len();
-        debug_assert!(n >= super::MIN_FOLD);
-        // The state XORs into the first 8 message bytes: the low lane when
-        // reflected, the high lane after the byte reversal.
-        let state = if BSWAP {
-            _mm_set_epi64x(state as i64, 0)
-        } else {
-            _mm_set_epi64x(0, state as i64)
-        };
-        let k512 = key::<BSWAP>(keys.k[4]);
-        let mut a0 = _mm_xor_si128(load::<BSWAP>(bytes, 0), state);
-        let mut a1 = load::<BSWAP>(bytes, 16);
-        let mut a2 = load::<BSWAP>(bytes, 32);
-        let mut a3 = load::<BSWAP>(bytes, 48);
-        let mut pos = 64usize;
-        while pos + 64 <= n {
-            a0 = _mm_xor_si128(fold1(a0, k512), load::<BSWAP>(bytes, pos));
-            a1 = _mm_xor_si128(fold1(a1, k512), load::<BSWAP>(bytes, pos + 16));
-            a2 = _mm_xor_si128(fold1(a2, k512), load::<BSWAP>(bytes, pos + 32));
-            a3 = _mm_xor_si128(fold1(a3, k512), load::<BSWAP>(bytes, pos + 48));
-            pos += 64;
-        }
-        let k128 = key::<BSWAP>(keys.k[1]);
-        let mut s = _mm_xor_si128(
-            _mm_xor_si128(
-                fold1(a0, key::<BSWAP>(keys.k[3])),
-                fold1(a1, key::<BSWAP>(keys.k[2])),
-            ),
-            _mm_xor_si128(fold1(a2, k128), a3),
-        );
-        while pos + 16 <= n {
-            s = _mm_xor_si128(fold1(s, k128), load::<BSWAP>(bytes, pos));
-            pos += 16;
-        }
-        // Non-reflected: the reversal back gives the big-endian halves.
-        let s = if BSWAP {
-            _mm_shuffle_epi8(s, reverse_bytes())
-        } else {
-            s
-        };
-        (store(s), pos)
-    }
-
-    /// `pshufb` index windows for the partial last chunk: 16 bytes at
-    /// `tail` move the first `tail` bytes of a register to its end
-    /// (zeros before them); 16 bytes at `16 + tail` move the rest to its
-    /// start. The first window's high bits also mark the bytes it zeroes.
+    /// `pshufb` index windows for the partial last chunk, 16 bytes each:
+    /// entries 16..32 are the identity, the rest zero a byte.
     const SHIFT: [u8; 48] = {
         let mut t = [0x80u8; 48];
         let mut i = 0;
@@ -410,6 +533,107 @@ mod x86 {
         }
         t
     };
+
+    /// The 16-byte window of [`SHIFT`] at `at` (at most 32).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn window(at: usize) -> __m128i {
+        let w: &[u8; 16] = SHIFT[at..at + 16].try_into().expect("window inside SHIFT");
+        // SAFETY: `w` is 16 readable bytes; the load is unaligned.
+        unsafe { _mm_loadu_si128(w.as_ptr() as *const __m128i) }
+    }
+
+    /// Folds in a partial last chunk of `tail` (1 to 15) bytes. The
+    /// message ends `s ‖ t`, so its last 16 bytes are `s[tail..] ‖ t`:
+    /// `end` holds them with stale bytes in place of `s[tail..]`. The
+    /// `tail` bytes of `s` before them, zero-padded in front, fold 128
+    /// bits forward with `k128`. Registers hold their 16 message bytes in
+    /// order, or reversed where `BSWAP`, so the windows mirror.
+    #[inline]
+    #[target_feature(
+        enable = "pclmulqdq",
+        enable = "sse2",
+        enable = "ssse3",
+        enable = "sse4.1"
+    )]
+    fn shift_in<const BSWAP: bool>(
+        s: __m128i,
+        end: __m128i,
+        tail: usize,
+        k128: __m128i,
+    ) -> __m128i {
+        debug_assert!((1..16).contains(&tail));
+        // `head` moves the first `tail` message bytes of `s` to the end of
+        // a block, zeros before them; `rest` moves the others to its
+        // start. `head`'s high bits also mark where `end`'s stale bytes
+        // lie.
+        let (head, rest) = if BSWAP {
+            (window(32 - tail), window(16 - tail))
+        } else {
+            (window(tail), window(16 + tail))
+        };
+        let last = _mm_blendv_epi8(end, _mm_shuffle_epi8(s, rest), head);
+        _mm_xor_si128(fold1(_mm_shuffle_epi8(s, head), k128), last)
+    }
+
+    /// The 128-bit kernel; folds in the order of `fold_generic` and
+    /// returns the residue in register layout.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must pass [`super::hardware_available`], and `bytes` must
+    /// hold at least [`MIN_FOLD`] bytes.
+    #[target_feature(
+        enable = "pclmulqdq",
+        enable = "sse2",
+        enable = "ssse3",
+        enable = "sse4.1"
+    )]
+    unsafe fn fold<const BSWAP: bool>(keys: &Keys, state: u64, bytes: &[u8]) -> __m128i {
+        let n = bytes.len();
+        debug_assert!(n >= MIN_FOLD);
+        // The state XORs into the first 8 message bytes: the low lane when
+        // reflected, the high lane after the byte reversal.
+        let state = if BSWAP {
+            _mm_set_epi64x(state as i64, 0)
+        } else {
+            _mm_set_epi64x(0, state as i64)
+        };
+        let k128 = key::<BSWAP>(keys.k[1]);
+        let mut s = _mm_xor_si128(load::<BSWAP>(bytes, 0), state);
+        let mut pos = 16usize;
+        if n >= QUAD_FOLD {
+            let k512 = key::<BSWAP>(keys.k[4]);
+            let mut a0 = s;
+            let mut a1 = load::<BSWAP>(bytes, 16);
+            let mut a2 = load::<BSWAP>(bytes, 32);
+            let mut a3 = load::<BSWAP>(bytes, 48);
+            pos = 64;
+            while pos + 64 <= n {
+                a0 = _mm_xor_si128(fold1(a0, k512), load::<BSWAP>(bytes, pos));
+                a1 = _mm_xor_si128(fold1(a1, k512), load::<BSWAP>(bytes, pos + 16));
+                a2 = _mm_xor_si128(fold1(a2, k512), load::<BSWAP>(bytes, pos + 32));
+                a3 = _mm_xor_si128(fold1(a3, k512), load::<BSWAP>(bytes, pos + 48));
+                pos += 64;
+            }
+            s = _mm_xor_si128(
+                _mm_xor_si128(
+                    fold1(a0, key::<BSWAP>(keys.k[3])),
+                    fold1(a1, key::<BSWAP>(keys.k[2])),
+                ),
+                _mm_xor_si128(fold1(a2, k128), a3),
+            );
+        }
+        while pos + 16 <= n {
+            s = _mm_xor_si128(fold1(s, k128), load::<BSWAP>(bytes, pos));
+            pos += 16;
+        }
+        let tail = n - pos;
+        if tail > 0 {
+            s = shift_in::<BSWAP>(s, load::<BSWAP>(bytes, n - 16), tail, k128);
+        }
+        s
+    }
 
     /// GF2P8AFFINEQB matrix reversing the bit order of every byte.
     const BIT_REVERSE: i64 = 0x8040_2010_0804_0201_u64 as i64;
@@ -459,24 +683,26 @@ mod x86 {
     /// step. It runs every algorithm in the reflected domain (`keys` is
     /// the reflected schedule): non-reflected bytes are bit-reversed on
     /// load — a GFNI affine, which unlike a byte shuffle leaves the
-    /// carryless multiplier's execution port alone — and the residue's
-    /// bytes are bit-reversed back on the way out. Its residue is
-    /// congruent to the 128-bit kernel's modulo `G` but not equal to it,
-    /// because it folds in a different order.
+    /// carryless multiplier's execution port alone — and their residue is
+    /// turned back into the 128-bit kernel's register layout on the way
+    /// out. The residue is congruent to the 128-bit kernel's modulo `G`
+    /// but not equal to it, because it folds in a different order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must pass [`super::wide_available`], and `bytes` must hold
+    /// at least [`WIDE_FOLD`] bytes.
     #[target_feature(
         enable = "avx512f",
         enable = "vpclmulqdq",
         enable = "gfni",
         enable = "pclmulqdq",
-        enable = "sse4.1"
+        enable = "sse4.1",
+        enable = "ssse3"
     )]
-    pub(super) unsafe fn fold_wide<const BITREV: bool>(
-        keys: &Keys,
-        state: u64,
-        bytes: &[u8],
-    ) -> ([u8; 16], usize) {
+    unsafe fn fold_wide<const BITREV: bool>(keys: &Keys, state: u64, bytes: &[u8]) -> __m128i {
         let n = bytes.len();
-        debug_assert!(n >= super::WIDE_FOLD);
+        assert!(n >= WIDE_FOLD);
         let key4 = |k: (u64, u64)| {
             _mm512_set_epi64(
                 k.1 as i64, k.0 as i64, k.1 as i64, k.0 as i64, k.1 as i64, k.0 as i64, k.1 as i64,
@@ -551,28 +777,15 @@ mod x86 {
         pos += 16 * chunks;
         let tail = n - pos;
         if tail > 0 {
-            // The message now ends `s ‖ t` with `tail` bytes `t`. Its
-            // last 16 bytes are `s[tail..] ‖ t`; the `tail` bytes of `s`
-            // before them, zero-padded in front, fold 128 bits forward.
-            // Both index windows lie inside `SHIFT` because `tail < 16`.
-            let head = _mm_loadu_si128(SHIFT.as_ptr().add(tail) as *const __m128i);
-            let rest = _mm_loadu_si128(SHIFT.as_ptr().add(16 + tail) as *const __m128i);
-            let last = _mm_blendv_epi8(
-                load1::<BITREV>(bytes, n - 16),
-                _mm_shuffle_epi8(s, rest),
-                head,
-            );
-            s = _mm_xor_si128(fold1(_mm_shuffle_epi8(s, head), key(keys.k[1])), last);
-            pos = n;
+            s = shift_in::<false>(s, load1::<BITREV>(bytes, n - 16), tail, key(keys.k[1]));
         }
-        // Reflected-domain virtual bytes; bit-reversed, they are the
-        // normal-domain message of the same residue.
-        let s = if BITREV {
-            _mm_gf2p8affine_epi64_epi8::<0>(s, _mm_set1_epi64x(BIT_REVERSE))
+        if BITREV {
+            // All 128 bits reversed: bits within bytes, then the bytes.
+            let s = _mm_gf2p8affine_epi64_epi8::<0>(s, _mm_set1_epi64x(BIT_REVERSE));
+            _mm_shuffle_epi8(s, reverse_bytes())
         } else {
             s
-        };
-        (store(s), pos)
+        }
     }
 }
 
@@ -601,9 +814,8 @@ mod aarch64 {
 
 #[cfg(test)]
 mod tests {
-    use super::super::EngineKind;
     use super::*;
-    use crate::catalog;
+    use crate::{catalog, Crc, EngineKind};
 
     /// Second, independent software multiply to validate `Soft::mul`.
     fn mul_naive(a: u64, b: u64) -> u128 {
@@ -627,34 +839,45 @@ mod tests {
         assert_eq!(Soft::mul(u64::MAX, 1), u64::MAX as u128);
     }
 
+    const PARAMS: [CrcParams; 6] = [
+        catalog::CRC32_ISO_HDLC, // reflected
+        catalog::CRC32_BZIP2,    // unreflected
+        catalog::CRC64_XZ,       // reflected, width 64
+        catalog::CRC64_ECMA_182, // unreflected, width 64
+        catalog::CRC16_ARC,      // reflected, narrow
+        catalog::CRC24_OPENPGP,  // unreflected, odd width
+    ];
+
     #[test]
-    fn portable_fold_matches_slicing_engine() {
-        // The portable kernel must agree with slice-8 regardless of what
-        // the host CPU supports.
+    fn portable_kernel_matches_slicing_engine() {
+        // The portable kernel, and the reduction alone below 16 bytes,
+        // must agree with slicing-by-16 from any incoming state,
+        // regardless of what the host CPU supports.
         let data: Vec<u8> = (0..4096u32).map(|i| (i * 131 + 7) as u8).collect();
-        for params in [
-            catalog::CRC32_ISO_HDLC, // reflected
-            catalog::CRC32_BZIP2,    // unreflected
-            catalog::CRC64_XZ,       // reflected, width 64
-            catalog::CRC64_ECMA_182, // unreflected, width 64
-            catalog::CRC16_ARC,      // reflected, narrow
-            catalog::CRC24_OPENPGP,  // unreflected, odd width
-        ] {
-            let crc = crate::Crc::new(params);
-            let keys = &crc.fold.keys;
-            for len in [64usize, 65, 79, 80, 127, 128, 129, 255, 256, 1024, 4096] {
+        for params in PARAMS {
+            let slice = Crc::try_with_engine(params, EngineKind::Slice16).unwrap();
+            let keys = Powers::new::<Soft>(&params).keys(params.refin);
+            let lengths = (0..=80).chain([127, 128, 129, 255, 256, 1024, 4096]);
+            for len in lengths {
                 let bytes = &data[..len];
-                let state = crc.init_raw();
-                let (virt, consumed) = fold_generic::<Soft>(keys, params.refin, state, bytes);
-                let mid = crc.update_raw(0, &virt);
-                let folded = crc.update_raw(mid, &bytes[consumed..]);
-                let expected = crc.update_raw(state, bytes);
-                assert_eq!(
-                    crc.finalize_raw(folded),
-                    crc.finalize_raw(expected),
-                    "{} len {len}",
-                    params.name
-                );
+                for state in [
+                    slice.init,
+                    0,
+                    !0 >> (64 - params.width),
+                    0x5A5A_A5A5_1234_8765,
+                ] {
+                    let state = if params.refin {
+                        state & params.mask()
+                    } else {
+                        state << (64 - params.width)
+                    };
+                    assert_eq!(
+                        update_generic::<Soft>(&keys, params.refin, state, bytes),
+                        slice.update_raw(state, bytes),
+                        "{} len {len} state {state:#x}",
+                        params.name
+                    );
+                }
             }
         }
     }
@@ -665,60 +888,41 @@ mod tests {
             return; // hardware path covered only where it exists
         }
         let data: Vec<u8> = (0..2048u32).map(|i| (i * 89 + 3) as u8).collect();
-        for params in [
-            catalog::CRC32_ISO_HDLC,
-            catalog::CRC32_BZIP2,
-            catalog::CRC64_XZ,
-            catalog::CRC64_ECMA_182,
-        ] {
-            let crc = crate::Crc::new(params);
-            let ft = &crc.fold;
+        for params in PARAMS {
+            let ft = FoldTable::new(&params);
             let keys = &ft.keys;
-            let lengths = [64usize, 65, 96, 100, 127, 128, 255, 256, 257, 271, 272];
-            let lengths = lengths
-                .into_iter()
-                .chain([319, 320, 383, 447, 511, 512, 777, 1514, 2048]);
+            let lengths = (0..=80).chain([96, 100, 127, 128, 255, 256, 257, 271, 272]);
+            let lengths = lengths.chain([319, 320, 383, 447, 511, 512, 777, 1514, 2048]);
             for len in lengths {
-                let state = crc.init_raw();
                 let bytes = &data[..len];
-                let sw = fold_generic::<Soft>(keys, params.refin, state, bytes);
-                // The 128-bit kernel folds in the portable kernel's order:
-                // equal residues.
-                #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
-                let hw = x86::fold_detected(keys, params.refin, state, bytes);
-                #[cfg(not(all(feature = "clmul", target_arch = "x86_64")))]
-                let hw = fold_bulk(ft, params.refin, state, bytes);
-                assert_eq!(hw, sw, "{} len {len}", params.name);
-                // The 512-bit kernel folds in another order: its residue
-                // is only congruent, so compare checksums.
-                #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
-                if let Some(wide) = ft.wide.as_ref().filter(|_| len >= WIDE_FOLD) {
-                    let (virt, consumed) =
-                        x86::fold_wide_detected(wide, params.refin, state, bytes);
-                    // It also shifts in a partial last chunk.
-                    assert_eq!(consumed, len, "{} len {len}", params.name);
-                    let wide = crc.finalize_raw(crc.update_raw(0, &virt));
+                for state in [0, 0x0123_4567_89AB_CDEF_u64] {
+                    let state = if params.refin {
+                        state & params.mask()
+                    } else {
+                        state << (64 - params.width)
+                    };
+                    // The 128-bit kernel folds in the portable kernel's
+                    // order: equal residues.
+                    #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
+                    if len >= MIN_FOLD {
+                        assert_eq!(
+                            x86::fold_detected(keys, params.refin, state, bytes),
+                            fold_generic::<Soft>(keys, params.refin, state, bytes),
+                            "{} len {len}",
+                            params.name
+                        );
+                    }
+                    // The 512-bit kernel, where the host has it, folds in
+                    // another order: its residue is only congruent, so
+                    // compare raw states.
                     assert_eq!(
-                        wide,
-                        crc.checksum_bitwise(bytes),
+                        update(&ft, params.refin, state, bytes),
+                        update_generic::<Soft>(keys, params.refin, state, bytes),
                         "{} len {len}",
                         params.name
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn clmul_tier_handles_short_inputs_via_slicing() {
-        let crc = crate::Crc::new(catalog::CRC32_ISCSI);
-        for len in 0..MIN_FOLD {
-            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            assert_eq!(
-                crc.checksum_with(EngineKind::Clmul, &data),
-                crc.checksum_bitwise(&data),
-                "len {len}"
-            );
         }
     }
 }

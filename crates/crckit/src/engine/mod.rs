@@ -1,20 +1,19 @@
 //! The pluggable CRC engine.
 //!
-//! One [`Crc`] value owns everything needed to run either engine tier
-//! over the same parameter set:
+//! One [`Crc`] value owns what its engine tier runs, and nothing more:
 //!
-//! | [`EngineKind`] | technique                              | use case |
-//! |----------------|----------------------------------------|----------|
-//! | `Slice16`      | slicing-by-16, 32 KiB of tables        | CPUs without carryless multiply |
-//! | `Clmul`        | carryless-multiply folding (PCLMULQDQ / PMULL, VPCLMULQDQ) | frames from 64 B up; slicing-by-16 below |
+//! | [`EngineKind`] | technique                              | owns | use case |
+//! |----------------|----------------------------------------|------|----------|
+//! | `Slice16`      | slicing-by-16                          | 32 KiB of tables | CPUs without carryless multiply |
+//! | `Clmul`        | carryless-multiply folding (PCLMULQDQ / PMULL, VPCLMULQDQ) and a Barrett reduction | ~0.6 KiB of constants | every length, down to the empty message |
 //!
 //! [`Crc::new`] picks the tier from the host's CPU flags alone: `Clmul`
 //! where the CPU has a carryless multiply, else `Slice16`. Within `Clmul`
-//! the kernel follows input length. [`Crc::checksum_bitwise`] is the one
-//! free-standing bit-at-a-time oracle; [`Crc::checksum_with`] runs a
-//! specific tier for benchmarking and cross-validation against it — the
-//! paper's §4.5 "comparing answers obtained with simple code to
-//! optimized code" methodology.
+//! the kernel follows input length. [`Crc::try_with_engine`] pins a tier
+//! for benchmarking and cross-validation against [`Crc::checksum_bitwise`],
+//! the one free-standing bit-at-a-time oracle — the paper's §4.5
+//! "comparing answers obtained with simple code to optimized code"
+//! methodology.
 //!
 //! Both tiers share one raw-state representation (the slicing state
 //! convention), so [`crate::Digest`] streaming picks up the fast paths
@@ -26,6 +25,7 @@ use std::fmt;
 
 mod clmul;
 mod fold;
+mod slice16;
 
 /// Identifies one of the interchangeable computation strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,8 +79,8 @@ fn select_engine() -> EngineKind {
     }
 }
 
-/// A ready-to-use CRC calculator with precomputed tables, folding
-/// constants and a selected default engine tier.
+/// A ready-to-use CRC calculator: the parameters, the raw initial state,
+/// and the tables or constants of its engine tier.
 ///
 /// ```
 /// use crckit::{Crc, catalog};
@@ -90,17 +90,16 @@ fn select_engine() -> EngineKind {
 #[derive(Debug, Clone)]
 pub struct Crc {
     params: CrcParams,
-    /// Slicing tables (16 × 256). For reflected algorithms the state
-    /// lives in the low bits of a `u64`; for non-reflected algorithms the
-    /// tables are top-aligned in the `u64` so slicing needs no
-    /// width-dependent shifts in the inner loop. `tables[0]` doubles as
-    /// the byte-at-a-time table of the remainder steps.
-    tables: Box<[[u64; 256]; 16]>,
-    /// Folding constants for the CLMUL tier, `x^k mod G` walked out of
-    /// `tables`.
-    fold: fold::FoldTable,
-    /// The tier [`Crc::checksum`] and [`crate::Digest`] run on.
-    kind: EngineKind,
+    /// `params.init` as a raw state.
+    init: u64,
+    tier: Tier,
+}
+
+/// What each engine tier runs on.
+#[derive(Debug, Clone)]
+enum Tier {
+    Slice16(slice16::Tables),
+    Clmul(Box<fold::FoldTable>),
 }
 
 impl Crc {
@@ -133,55 +132,16 @@ impl Crc {
     /// Propagates [`CrcParams::validate`] errors.
     pub fn try_with_engine(params: CrcParams, kind: EngineKind) -> Result<Crc> {
         params.validate()?;
-        let mut tables = Box::new([[0u64; 256]; 16]);
-        if params.refin {
-            let poly_rev = reflect(params.poly, params.width);
-            for b in 0..256u64 {
-                let mut v = b;
-                for _ in 0..8 {
-                    v = if v & 1 == 1 {
-                        (v >> 1) ^ poly_rev
-                    } else {
-                        v >> 1
-                    };
-                }
-                tables[0][b as usize] = v;
-            }
-            for k in 1..16 {
-                for b in 0..256usize {
-                    let prev = tables[k - 1][b];
-                    tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-                }
-            }
+        let init = if params.refin {
+            reflect(params.init, params.width)
         } else {
-            // Top-aligned tables: state bit (width-1) sits at u64 bit 63.
-            let poly_top = params.poly << (64 - params.width);
-            for b in 0..256u64 {
-                let mut v = b << 56;
-                for _ in 0..8 {
-                    v = if v >> 63 == 1 {
-                        (v << 1) ^ poly_top
-                    } else {
-                        v << 1
-                    };
-                }
-                tables[0][b as usize] = v;
-            }
-            for k in 1..16 {
-                for b in 0..256usize {
-                    let prev = tables[k - 1][b];
-                    tables[k][b] = (prev << 8) ^ tables[0][(prev >> 56) as usize];
-                }
-            }
-        }
-        let mut crc = Crc {
-            params,
-            tables,
-            fold: fold::FoldTable::default(),
-            kind,
+            params.init << (64 - params.width)
         };
-        crc.fold = fold::FoldTable::derive(&crc);
-        Ok(crc)
+        let tier = match kind {
+            EngineKind::Slice16 => Tier::Slice16(slice16::Tables::new(&params)),
+            EngineKind::Clmul => Tier::Clmul(Box::new(fold::FoldTable::new(&params))),
+        };
+        Ok(Crc { params, init, tier })
     }
 
     /// The parameters this engine implements.
@@ -191,36 +151,25 @@ impl Crc {
 
     /// The tier [`Crc::checksum`] runs on.
     pub fn engine(&self) -> EngineKind {
-        self.kind
+        match self.tier {
+            Tier::Slice16(_) => EngineKind::Slice16,
+            Tier::Clmul(_) => EngineKind::Clmul,
+        }
     }
 
-    /// One-shot CRC of a byte slice on the selected fastest tier.
+    /// One-shot CRC of a byte slice.
     pub fn checksum(&self, bytes: &[u8]) -> u64 {
-        self.checksum_with(self.kind, bytes)
+        self.finalize_raw(self.update_raw(self.init, bytes))
     }
 
-    /// One-shot CRC on an explicitly chosen tier. Every tier returns the
-    /// identical value; this exists for benchmarking and the §4.5-style
-    /// cross-validation the test suite performs.
-    pub fn checksum_with(&self, kind: EngineKind, bytes: &[u8]) -> u64 {
-        let raw = self.update_with(kind, self.init_raw(), bytes);
-        self.finalize_raw(raw)
-    }
-
-    /// CRCs of many independent buffers on the selected tier — the shape
-    /// of per-frame digest work in `netsim`-style packet loops.
+    /// CRCs of many independent buffers — the shape of per-frame digest
+    /// work in `netsim`-style packet loops.
     ///
     /// Semantically identical to mapping [`Crc::checksum`] over the
-    /// buffers; the batch form hoists the initial-state computation and
-    /// keeps the engine's working set (tables or folding keys) hot
-    /// across messages.
+    /// buffers; the batch form keeps the engine's working set (tables or
+    /// folding constants) hot across messages.
     pub fn checksum_batch(&self, buffers: &[&[u8]]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(buffers.len());
-        let init = self.init_raw();
-        for bytes in buffers {
-            out.push(self.finalize_raw(self.update_with(self.kind, init, bytes)));
-        }
-        out
+        buffers.iter().map(|bytes| self.checksum(bytes)).collect()
     }
 
     /// One-shot CRC using an independent bit-at-a-time implementation.
@@ -254,130 +203,19 @@ impl Crc {
 
     // ----- raw-state plumbing shared with `Digest` -----
 
+    /// The raw state [`Crc::checksum`] and [`crate::Digest`] start from.
     #[inline]
     pub(crate) fn init_raw(&self) -> u64 {
-        let p = &self.params;
-        if p.refin {
-            reflect(p.init & p.mask(), p.width)
-        } else {
-            (p.init & p.mask()) << (64 - p.width)
-        }
+        self.init
     }
 
+    /// Advances a raw state over `bytes` on this engine's tier.
     #[inline]
-    pub(crate) fn step_byte(&self, state: u64, byte: u8) -> u64 {
-        if self.params.refin {
-            (state >> 8) ^ self.tables[0][((state ^ byte as u64) & 0xFF) as usize]
-        } else {
-            (state << 8) ^ self.tables[0][((state >> 56) ^ byte as u64) as usize]
+    pub(crate) fn update_raw(&self, state: u64, bytes: &[u8]) -> u64 {
+        match &self.tier {
+            Tier::Slice16(tables) => tables.update(state, bytes),
+            Tier::Clmul(ft) => clmul::update(ft, self.params.refin, state, bytes),
         }
-    }
-
-    /// Advances a raw state over `bytes` on the given tier.
-    pub(crate) fn update_with(&self, kind: EngineKind, state: u64, bytes: &[u8]) -> u64 {
-        match kind {
-            // Inputs too short to fold take slicing-by-16 on the CLMUL tier
-            // too, through the same call site.
-            EngineKind::Slice16 => self.update_slice16_raw(state, bytes),
-            EngineKind::Clmul if bytes.len() < clmul::MIN_FOLD => {
-                self.update_slice16_raw(state, bytes)
-            }
-            EngineKind::Clmul => clmul::update(self, &self.fold, state, bytes),
-        }
-    }
-
-    /// Advances a raw state on the selected default tier — the streaming
-    /// entry point [`crate::Digest`] uses, so streamed updates enjoy the
-    /// same acceleration as one-shot checksums.
-    #[inline]
-    pub(crate) fn update_dispatch_raw(&self, state: u64, bytes: &[u8]) -> u64 {
-        self.update_with(self.kind, state, bytes)
-    }
-
-    /// Slicing-by-8 update: not a tier of its own, but the remainder
-    /// engine slicing-by-16 and the accelerated tiers drain through.
-    #[inline]
-    pub(crate) fn update_raw(&self, mut state: u64, bytes: &[u8]) -> u64 {
-        let mut chunks = bytes.chunks_exact(8);
-        if self.params.refin {
-            for chunk in &mut chunks {
-                let x = state ^ u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                state = self.tables[7][(x & 0xFF) as usize]
-                    ^ self.tables[6][(x >> 8 & 0xFF) as usize]
-                    ^ self.tables[5][(x >> 16 & 0xFF) as usize]
-                    ^ self.tables[4][(x >> 24 & 0xFF) as usize]
-                    ^ self.tables[3][(x >> 32 & 0xFF) as usize]
-                    ^ self.tables[2][(x >> 40 & 0xFF) as usize]
-                    ^ self.tables[1][(x >> 48 & 0xFF) as usize]
-                    ^ self.tables[0][(x >> 56) as usize];
-            }
-        } else {
-            for chunk in &mut chunks {
-                let x = state ^ u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
-                state = self.tables[7][(x >> 56) as usize]
-                    ^ self.tables[6][(x >> 48 & 0xFF) as usize]
-                    ^ self.tables[5][(x >> 40 & 0xFF) as usize]
-                    ^ self.tables[4][(x >> 32 & 0xFF) as usize]
-                    ^ self.tables[3][(x >> 24 & 0xFF) as usize]
-                    ^ self.tables[2][(x >> 16 & 0xFF) as usize]
-                    ^ self.tables[1][(x >> 8 & 0xFF) as usize]
-                    ^ self.tables[0][(x & 0xFF) as usize];
-            }
-        }
-        for &b in chunks.remainder() {
-            state = self.step_byte(state, b);
-        }
-        state
-    }
-
-    /// Slicing-by-16 update: two independent 8-byte lookup chains per
-    /// iteration, halving the loop-carried dependency length of slice-8.
-    pub(crate) fn update_slice16_raw(&self, mut state: u64, bytes: &[u8]) -> u64 {
-        let mut chunks = bytes.chunks_exact(16);
-        if self.params.refin {
-            for chunk in &mut chunks {
-                let x = state ^ u64::from_le_bytes(chunk[..8].try_into().expect("8-byte chunk"));
-                let y = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte chunk"));
-                state = self.tables[15][(x & 0xFF) as usize]
-                    ^ self.tables[14][(x >> 8 & 0xFF) as usize]
-                    ^ self.tables[13][(x >> 16 & 0xFF) as usize]
-                    ^ self.tables[12][(x >> 24 & 0xFF) as usize]
-                    ^ self.tables[11][(x >> 32 & 0xFF) as usize]
-                    ^ self.tables[10][(x >> 40 & 0xFF) as usize]
-                    ^ self.tables[9][(x >> 48 & 0xFF) as usize]
-                    ^ self.tables[8][(x >> 56) as usize]
-                    ^ self.tables[7][(y & 0xFF) as usize]
-                    ^ self.tables[6][(y >> 8 & 0xFF) as usize]
-                    ^ self.tables[5][(y >> 16 & 0xFF) as usize]
-                    ^ self.tables[4][(y >> 24 & 0xFF) as usize]
-                    ^ self.tables[3][(y >> 32 & 0xFF) as usize]
-                    ^ self.tables[2][(y >> 40 & 0xFF) as usize]
-                    ^ self.tables[1][(y >> 48 & 0xFF) as usize]
-                    ^ self.tables[0][(y >> 56) as usize];
-            }
-        } else {
-            for chunk in &mut chunks {
-                let x = state ^ u64::from_be_bytes(chunk[..8].try_into().expect("8-byte chunk"));
-                let y = u64::from_be_bytes(chunk[8..].try_into().expect("8-byte chunk"));
-                state = self.tables[15][(x >> 56) as usize]
-                    ^ self.tables[14][(x >> 48 & 0xFF) as usize]
-                    ^ self.tables[13][(x >> 40 & 0xFF) as usize]
-                    ^ self.tables[12][(x >> 32 & 0xFF) as usize]
-                    ^ self.tables[11][(x >> 24 & 0xFF) as usize]
-                    ^ self.tables[10][(x >> 16 & 0xFF) as usize]
-                    ^ self.tables[9][(x >> 8 & 0xFF) as usize]
-                    ^ self.tables[8][(x & 0xFF) as usize]
-                    ^ self.tables[7][(y >> 56) as usize]
-                    ^ self.tables[6][(y >> 48 & 0xFF) as usize]
-                    ^ self.tables[5][(y >> 40 & 0xFF) as usize]
-                    ^ self.tables[4][(y >> 32 & 0xFF) as usize]
-                    ^ self.tables[3][(y >> 24 & 0xFF) as usize]
-                    ^ self.tables[2][(y >> 16 & 0xFF) as usize]
-                    ^ self.tables[1][(y >> 8 & 0xFF) as usize]
-                    ^ self.tables[0][(y & 0xFF) as usize];
-            }
-        }
-        self.update_raw(state, chunks.remainder())
     }
 
     #[inline]
@@ -412,13 +250,17 @@ pub(crate) fn reflect(v: u64, width: u32) -> u64 {
 mod tests {
     use super::*;
 
+    /// One engine per tier.
+    fn tiers(params: CrcParams) -> [Crc; 2] {
+        EngineKind::ALL.map(|kind| Crc::try_with_engine(params, kind).unwrap())
+    }
+
     fn engines_agree(params: CrcParams, data: &[u8]) {
-        let crc = Crc::new(params);
-        let reference = crc.checksum_bitwise(data);
-        for kind in EngineKind::ALL {
+        for crc in tiers(params) {
+            let kind = crc.engine();
             assert_eq!(
-                crc.checksum_with(kind, data),
-                reference,
+                crc.checksum(data),
+                crc.checksum_bitwise(data),
                 "{}: {kind} vs bitwise reference (len {})",
                 params.name,
                 data.len()
@@ -523,16 +365,45 @@ mod tests {
 
     #[test]
     fn raw_state_is_interchangeable_between_tiers() {
-        // Any tier can resume a state another tier produced: the contract
-        // that makes streamed digests engine-agnostic.
-        let crc = Crc::new(crate::catalog::CRC64_XZ);
+        // Either tier resumes a state the other produced, mid-message and
+        // back again: the contract that makes streamed digests
+        // engine-agnostic.
         let data: Vec<u8> = (0..512u32).map(|i| (i * 7 + 1) as u8).collect();
-        let expected = crc.checksum_bitwise(&data);
-        for first in EngineKind::ALL {
-            for second in EngineKind::ALL {
-                let mid = crc.update_with(first, crc.init_raw(), &data[..200]);
-                let end = crc.update_with(second, mid, &data[200..]);
-                assert_eq!(crc.finalize_raw(end), expected, "{first} then {second}");
+        for params in [
+            crate::catalog::CRC64_XZ,
+            crate::catalog::CRC32_BZIP2,
+            crate::catalog::CRC16_ARC,
+            crate::catalog::CRC24_OPENPGP,
+        ] {
+            let [slice, clmul] = tiers(params);
+            let expected = slice.checksum_bitwise(&data);
+            for (a, b) in [(3, 200), (15, 16), (64, 300), (200, 511)] {
+                for (first, second) in [(&slice, &clmul), (&clmul, &slice)] {
+                    let s = first.update_raw(first.init_raw(), &data[..a]);
+                    let s = second.update_raw(s, &data[a..b]);
+                    let s = first.update_raw(s, &data[b..]);
+                    assert_eq!(
+                        first.finalize_raw(s),
+                        expected,
+                        "{} split {a}/{b}, {} first",
+                        params.name,
+                        first.engine()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_tier_owns_only_what_it_runs() {
+        for params in crate::catalog::ALL {
+            let [slice, clmul] = tiers(params);
+            match (&slice.tier, &clmul.tier) {
+                (Tier::Slice16(tables), Tier::Clmul(ft)) => {
+                    assert_eq!(tables.bytes(), 16 * 256 * 8, "{}", params.name);
+                    assert!(std::mem::size_of_val(&**ft) <= 4096, "{}", params.name);
+                }
+                _ => panic!("{}: tiers not as pinned", params.name),
             }
         }
     }

@@ -28,32 +28,36 @@
 //! the CPU has a carryless multiply, `Slice16` elsewhere. Both tiers are
 //! bit-identical on every parameter set to the free-standing
 //! bit-at-a-time oracle [`Crc::checksum_bitwise`], enforced by the §4.5
-//! differential test suite. [`Crc::checksum_with`] pins a tier
+//! differential test suite. [`Crc::try_with_engine`] pins a tier
 //! explicitly; building with `--no-default-features` compiles the
-//! intrinsic kernels out entirely.
+//! intrinsic kernels out entirely. A `Crc` builds and holds only what
+//! its tier runs:
 //!
 //! | engine | technique | working set | ns per call at 40 / 576 / 1514 B / 64 KiB* |
 //! |--------|-----------|-------------|-----------------|
 //! | [`Crc::checksum_bitwise`] (oracle) | shift register, 1 bit/step | none | 440 / 6,400 / 17,000 / 740,000 |
-//! | [`EngineKind::Slice16`]  | slicing-by-16 | 32 KiB | 17 / 280 / 770 / 33,000 |
-//! | [`EngineKind::Clmul`]    | PCLMULQDQ/PMULL folding; 4×512-bit VPCLMULQDQ from 256 B | 544 B of keys | 17 / 22 / 35 / 960 |
+//! | [`EngineKind::Slice16`]  | slicing-by-16 | 32 KiB of tables | 22 / 310 / 850 / 37,000 |
+//! | [`EngineKind::Clmul`]    | PCLMULQDQ/PMULL folding from 16 B; 4×512-bit VPCLMULQDQ from 256 B; Barrett reduction | ~0.6 KiB of constants, no table | 15 / 22 / 34 / 1,060 |
 //!
-//! \* CRC-32/ISO-HDLC, one core of a 2-core AVX-512 Xeon in its faster
-//! speed mode; regenerate the tier rows with `cargo run --release -p
-//! crc-experiments --bin crc_throughput`, which also writes the
-//! machine-readable `BENCH_crc_throughput.json`.
+//! \* CRC-32/ISO-HDLC, one core of a 2-core AVX-512 Xeon (the oracle row
+//! from an earlier run); regenerate the tier rows with `cargo run
+//! --release -p crc-experiments --bin crc_throughput`, which also writes
+//! the machine-readable `BENCH_crc_throughput.json` and times
+//! construction (`ctor_ns`: ~0.5 µs for a `Clmul` engine, ~4 µs for a
+//! `Slice16` one).
 //!
-//! The CLMUL tier picks its kernel by input length and CPU: slicing-by-16
-//! below 64 bytes (where folding does not pay), four 128-bit accumulators
-//! from 64 bytes, and on x86_64 hosts with AVX-512
-//! VPCLMULQDQ and GFNI four 512-bit accumulators from 256 bytes. It
-//! derives its folding constants (`x^k mod G`) from its own slicing
-//! tables at construction, so *every* catalog polynomial — not just the
-//! CRC32 variants production libraries hardcode — gets hardware folding,
-//! reflected or not. On a CPU without carryless multiply auto-selection
-//! picks slicing-by-16; a `Clmul` engine pinned there (or built without
-//! the `clmul` feature) folds on a bit-identical portable software
-//! multiply.
+//! The CLMUL tier picks its kernel by input length and CPU: under 16
+//! bytes the message and state reduce directly, one 128-bit accumulator
+//! folds from 16 bytes, four from 64 bytes, and on x86_64 hosts with
+//! AVX-512 VPCLMULQDQ and GFNI four 512-bit accumulators from 256 bytes.
+//! Every path ends in a Barrett reduction (Gopal et al., Intel, 2009)
+//! instead of a table lookup. It derives its folding and Barrett
+//! constants from `x^k mod G` at construction, so *every* catalog
+//! polynomial — not just the CRC32 variants production libraries
+//! hardcode — gets hardware folding, reflected or not, at any width from
+//! 8 to 64. On a CPU without carryless multiply auto-selection picks
+//! slicing-by-16; a `Clmul` engine pinned there (or built without the
+//! `clmul` feature) folds on a bit-identical portable software multiply.
 
 // Unsafe is denied crate-wide and re-allowed in exactly one place: the
 // CPU-intrinsic kernels of `engine::clmul`, which are differentially

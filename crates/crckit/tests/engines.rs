@@ -7,6 +7,11 @@
 use crckit::{catalog, Crc, CrcParams, Digest, EngineKind};
 use gf2poly::SplitMix64;
 
+/// One engine per tier, each pinned through `Crc::try_with_engine`.
+fn tiers(params: CrcParams) -> [Crc; 2] {
+    EngineKind::ALL.map(|kind| Crc::try_with_engine(params, kind).unwrap())
+}
+
 /// Deterministic pseudo-random payload.
 fn payload(len: usize, seed: u64) -> Vec<u8> {
     let mut rng = SplitMix64::new(seed);
@@ -19,14 +24,13 @@ fn every_engine_matches_bitwise_on_every_catalog_entry() {
     // tiers' 16-byte chunking with a remainder.
     let data = payload(600, 1);
     for params in catalog::ALL {
-        let crc = Crc::new(params);
-        let reference = crc.checksum_bitwise(&data);
-        for kind in EngineKind::ALL {
+        for crc in tiers(params) {
             assert_eq!(
-                crc.checksum_with(kind, &data),
-                reference,
-                "{} on {kind}",
-                params.name
+                crc.checksum(&data),
+                crc.checksum_bitwise(&data),
+                "{} on {}",
+                params.name,
+                crc.engine()
             );
         }
     }
@@ -35,13 +39,13 @@ fn every_engine_matches_bitwise_on_every_catalog_entry() {
 #[test]
 fn every_engine_matches_the_published_check_values() {
     for params in catalog::ALL {
-        let crc = Crc::new(params);
-        for kind in EngineKind::ALL {
+        for crc in tiers(params) {
             assert_eq!(
-                crc.checksum_with(kind, b"123456789"),
+                crc.checksum(b"123456789"),
                 params.check,
-                "{} on {kind}",
-                params.name
+                "{} on {}",
+                params.name,
+                crc.engine()
             );
         }
     }
@@ -89,18 +93,50 @@ fn length_sweep_across_engine_thresholds() {
                     .refout(refout)
                     .init(0xACE1_ACE1_ACE1_ACE1 & mask)
                     .xorout(0x1357_9BDF_0246_8ACE & mask);
-                let crc = Crc::new(params);
-                for len in 0..=73 {
-                    let slice = &data[..len];
-                    let reference = crc.checksum_bitwise(slice);
-                    for kind in EngineKind::ALL {
+                for crc in tiers(params) {
+                    for len in 0..=73 {
+                        let slice = &data[..len];
                         assert_eq!(
-                            crc.checksum_with(kind, slice),
-                            reference,
+                            crc.checksum(slice),
+                            crc.checksum_bitwise(slice),
                             "width {width} poly {poly:#x} refin {refin} refout {refout} \
-                             len {len} on {kind}"
+                             len {len} on {}",
+                            crc.engine()
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn odd_widths_match_bitwise_at_every_length_through_the_fold_thresholds() {
+    // Widths on both sides of every byte and word boundary, both
+    // reflections, every length to 300 (the 16-, 64- and 256-byte kernel
+    // thresholds with each tail) and frame sizes past them.
+    let data = payload(4109, 11);
+    let lengths: Vec<usize> = (0..=300)
+        .chain([511, 512, 1023, 1500, 1504, 4109])
+        .collect();
+    for width in [8u32, 9, 13, 16, 17, 24, 31, 32, 33, 40, 63, 64] {
+        let mask = u64::MAX >> (64 - width);
+        let poly = 0x9E37_79B9_7F4A_7C15 & mask | 1;
+        for reflected in [false, true] {
+            let params = CrcParams::new("ODD", width, poly)
+                .unwrap()
+                .reflected(reflected)
+                .init(0xC3A5_C85C_97CB_3127 & mask)
+                .xorout(mask);
+            for crc in tiers(params) {
+                for &len in &lengths {
+                    let slice = &data[..len];
+                    assert_eq!(
+                        crc.checksum(slice),
+                        crc.checksum_bitwise(slice),
+                        "width {width} reflected {reflected} len {len} on {}",
+                        crc.engine()
+                    );
                 }
             }
         }
@@ -151,16 +187,17 @@ fn long_buffers_hit_the_bulk_paths() {
         catalog::CRC24_OPENPGP,
         catalog::CRC8_SMBUS,
     ] {
-        let crc = Crc::new(params);
+        let tiers = tiers(params);
         for len in [1535, 4096, 4097, 16_383, 65_536] {
             let data = payload(len, len as u64);
-            let reference = crc.checksum_bitwise(&data);
-            for kind in [EngineKind::Slice16, EngineKind::Clmul] {
+            let reference = tiers[0].checksum_bitwise(&data);
+            for crc in &tiers {
                 assert_eq!(
-                    crc.checksum_with(kind, &data),
+                    crc.checksum(&data),
                     reference,
-                    "{} len {len} on {kind}",
-                    params.name
+                    "{} len {len} on {}",
+                    params.name,
+                    crc.engine()
                 );
             }
         }
@@ -172,12 +209,15 @@ fn streamed_digest_crosses_tier_thresholds() {
     // A Digest fed in odd-sized pieces exercises the accelerated tiers'
     // mid-stream entry (nonzero incoming state) and tail handling.
     let data = payload(10_000, 9);
-    for params in [
+    for crc in [
         catalog::CRC32_ISO_HDLC,
         catalog::CRC32_BZIP2,
         catalog::CRC64_XZ,
-    ] {
-        let crc = Crc::new(params);
+    ]
+    .into_iter()
+    .flat_map(tiers)
+    {
+        let params = *crc.params();
         let expected = crc.checksum_bitwise(&data);
         let mut digest = Digest::new(&crc);
         let mut fed = 0;
@@ -194,6 +234,53 @@ fn streamed_digest_crosses_tier_thresholds() {
             }
             assert!(i < 1000, "sweep must terminate");
         }
-        assert_eq!(digest.finalize(), expected, "{}", params.name);
+        assert_eq!(
+            digest.finalize(),
+            expected,
+            "{} on {}",
+            params.name,
+            crc.engine()
+        );
+    }
+}
+
+#[test]
+fn digest_over_random_small_chunkings_equals_one_shot() {
+    // Frame-sized messages fed 1 to 40 bytes at a time: most pieces are
+    // under the 16-byte fold threshold, so every update enters the short
+    // path or a single partial fold with a live incoming state.
+    let mut rng = SplitMix64::new(12);
+    for params in [
+        catalog::CRC32_ISO_HDLC,
+        catalog::CRC32_BZIP2,
+        catalog::CRC64_XZ,
+        catalog::CRC64_ECMA_182,
+        catalog::CRC16_ARC,
+        catalog::CRC24_OPENPGP,
+        catalog::CRC8_SMBUS,
+    ] {
+        for crc in tiers(params) {
+            for len in [0usize, 1, 15, 16, 17, 40, 64, 300, 1500] {
+                let data = payload(len, len as u64 + 100);
+                let expected = crc.checksum(&data);
+                assert_eq!(expected, crc.checksum_bitwise(&data));
+                for _ in 0..20 {
+                    let mut digest = Digest::new(&crc);
+                    let mut fed = 0;
+                    while fed < len {
+                        let step = (1 + (rng.next_u64() % 40) as usize).min(len - fed);
+                        digest.update(&data[fed..fed + step]);
+                        fed += step;
+                    }
+                    assert_eq!(
+                        digest.finalize(),
+                        expected,
+                        "{} len {len} on {}",
+                        params.name,
+                        crc.engine()
+                    );
+                }
+            }
+        }
     }
 }
