@@ -23,7 +23,10 @@
 //! switching speed mid-run shifts all columns alike. Cells are medians
 //! over the repetitions, and each gate is the median of per-repetition
 //! ratios between batches run back to back, so a speed switch between
-//! two cells cannot fake a gap.
+//! two cells cannot fake a gap. Every timed batch is sized to run ≥ 2
+//! ms: after a warm-up, the call count doubles until one batch takes
+//! that long. The summary prints the shortest batch actually timed,
+//! since a host that speeds up after calibration runs shorter batches.
 //!
 //! Usage: `cargo run --release -p crc-experiments --bin crc_throughput
 //! [--reps N] [--out PATH]`
@@ -77,21 +80,49 @@ impl Sample {
     }
 }
 
-/// Calls of `f` per timed batch, so each batch runs ≥ ~2 ms.
-fn calibrate<T>(mut f: impl FnMut() -> T) -> usize {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    let once = start.elapsed().as_secs_f64().max(1e-8);
-    ((2e-3 / once) as usize).clamp(1, 1_000_000)
-}
+/// Shortest batch [`calibrate`] accepts, in seconds.
+const MIN_BATCH_S: f64 = 2e-3;
 
-/// Nanoseconds per call of `f` over one batch of `calls`.
-fn batch<T>(calls: usize, mut f: impl FnMut() -> T) -> f64 {
+/// Seconds of warm-up calls before a batch size is chosen.
+const WARMUP_S: f64 = 1e-3;
+
+/// Seconds to run `f` `calls` times.
+fn time<T>(calls: usize, f: &mut impl FnMut() -> T) -> f64 {
     let start = Instant::now();
     for _ in 0..calls {
         std::hint::black_box(f());
     }
-    start.elapsed().as_secs_f64() * 1e9 / calls as f64
+    start.elapsed().as_secs_f64()
+}
+
+/// Calls of `f` per timed batch: after a warm-up, the count doubles
+/// until one batch runs ≥ [`MIN_BATCH_S`].
+fn calibrate<T>(mut f: impl FnMut() -> T) -> usize {
+    let warm = Instant::now();
+    while warm.elapsed().as_secs_f64() < WARMUP_S {
+        std::hint::black_box(f());
+    }
+    let mut calls = 1;
+    while time(calls, &mut f) < MIN_BATCH_S && calls < 1 << 30 {
+        calls *= 2;
+    }
+    calls
+}
+
+/// Times batches of calls and remembers the shortest batch it timed.
+struct Batches {
+    shortest_s: f64,
+    timed: usize,
+}
+
+impl Batches {
+    /// Nanoseconds per call of `f` over one batch of `calls`.
+    fn batch<T>(&mut self, calls: usize, mut f: impl FnMut() -> T) -> f64 {
+        let s = time(calls, &mut f);
+        self.shortest_s = self.shortest_s.min(s);
+        self.timed += 1;
+        s * 1e9 / calls as f64
+    }
 }
 
 /// One checksum of `data`, opaque to the optimizer.
@@ -130,6 +161,10 @@ fn main() {
     }
     println!("  auto/best");
 
+    let mut batches = Batches {
+        shortest_s: f64::INFINITY,
+        timed: 0,
+    };
     let mut samples: Vec<Sample> = Vec::new();
     let mut ctor_ns = Vec::new();
     let mut auto_misses = Vec::new();
@@ -146,7 +181,7 @@ fn main() {
             for _ in 0..reps.max(1) {
                 let mut best = f64::MAX;
                 for (i, &column) in Column::ALL.iter().enumerate() {
-                    let ns = batch(calls[i], || checksum(&crcs[i], &data));
+                    let ns = batches.batch(calls[i], || checksum(&crcs[i], &data));
                     times[i].push(ns);
                     if column == Column::Auto {
                         auto_vs_best.push(ns / best);
@@ -187,7 +222,7 @@ fn main() {
         let mut times = vec![Vec::new(); EngineKind::ALL.len()];
         for _ in 0..reps.max(1) {
             for (i, &kind) in EngineKind::ALL.iter().enumerate() {
-                times[i].push(batch(calls[i], || build(kind)));
+                times[i].push(batches.batch(calls[i], || build(kind)));
             }
         }
         print!("{:<18} {:>7} ", params.name, "ctor_ns");
@@ -226,8 +261,8 @@ fn main() {
         let calls = calibrate(|| checksum(&iso, &data));
         let ratios = (0..3 * reps.max(1))
             .map(|_| {
-                let reflected = batch(calls, || checksum(&iso, &data));
-                reflected / batch(calls, || checksum(&bzip2, &data))
+                let reflected = batches.batch(calls, || checksum(&iso, &data));
+                reflected / batches.batch(calls, || checksum(&bzip2, &data))
             })
             .collect();
         let r = median(ratios);
@@ -237,6 +272,12 @@ fn main() {
         }
         reflection.push((size, r));
     }
+    let shortest_ms = batches.shortest_s * 1e3;
+    println!(
+        "shortest timed batch: {shortest_ms:.3} ms of {} batches (target ≥ {} ms)",
+        batches.timed,
+        MIN_BATCH_S * 1e3
+    );
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
@@ -256,6 +297,7 @@ fn main() {
     writeln!(json, "  \"clmul_hardware\": {clmul_hw},").unwrap();
     writeln!(json, "  \"default_engine\": \"{default}\",").unwrap();
     writeln!(json, "  \"reps\": {reps},").unwrap();
+    writeln!(json, "  \"shortest_batch_ms\": {shortest_ms:.3},").unwrap();
     writeln!(
         json,
         "  \"gate_clmul_vs_slice16_64kib_iso_hdlc\": {speedup:.3},"

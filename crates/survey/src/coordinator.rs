@@ -14,7 +14,12 @@
 //! * [`Request::Submit`] → the shard log is parsed and recorded through
 //!   [`Campaign::record_shard`] — the exact write path (and therefore
 //!   the exact bytes) of a single-host run. Duplicate submissions from
-//!   zombie workers are idempotent; conflicting bytes are refused.
+//!   zombie workers are idempotent; conflicting bytes are refused. When
+//!   the submission sets `lease_next`, the coordinator then makes the
+//!   same decision a [`Request::Lease`] would get and, if that is an
+//!   assignment, returns it in [`Reply::Accepted`]'s `next`: after its
+//!   first lease, a worker's every acceptance carries its next shard, so
+//!   a steady-state shard costs one round trip.
 //!
 //! All decisions live in [`Coordinator::handle`], which takes the
 //! current time as an argument so lease expiry is testable without
@@ -57,7 +62,8 @@ use crate::engine::Campaign;
 use crate::frame::WireStats;
 use crate::json::Json;
 use crate::transport::{
-    LeaseInfo, Reply, Request, ServeTransport, StatusReport, WorkerHeartbeat, ACCEPT_WAIT,
+    LeaseInfo, Reply, Request, ServeTransport, ShardLease, StatusReport, WorkerHeartbeat,
+    ACCEPT_WAIT,
 };
 use crate::Result;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -267,6 +273,49 @@ impl Coordinator {
         }
     }
 
+    /// Answers a lease request from `worker` as of `now`: the same
+    /// decision serves [`Request::Lease`] and a [`Request::Submit`] that
+    /// sets `lease_next`.
+    fn lease(&mut self, worker: &str, now: Instant) -> Reply {
+        if self.campaign.is_complete() {
+            return Reply::Done;
+        }
+        self.expire_leases(now);
+        let next = self
+            .campaign
+            .pending()
+            .find(|s| !self.leases.contains_key(s) && !self.quarantined.contains(s));
+        // No fresh shard: before parking the worker, re-grant its own
+        // lowest outstanding lease — if its Assign reply was lost in
+        // flight, this heals the loss without waiting out a TTL expiry.
+        let next = next.or_else(|| {
+            self.leases
+                .iter()
+                .filter(|(_, (w, _))| w == worker)
+                .map(|(&shard, _)| shard)
+                .min()
+        });
+        match next {
+            Some(shard) => {
+                self.leases
+                    .insert(shard, (worker.to_string(), now + self.lease_ttl));
+                let unit = self.campaign.config().work_unit(shard);
+                Reply::Assign {
+                    shard,
+                    start: unit.start,
+                    end: unit.end,
+                }
+            }
+            // Degraded-terminal: everything still pending is
+            // quarantined, so this worker will never get work — let it
+            // drain instead of spinning on Wait.
+            None if self.is_terminal() => Reply::Done,
+            None => Reply::Wait {
+                backoff_ms: WAIT_BACKOFF_MS,
+            },
+        }
+    }
+
     /// Answers one request as of `now` (injected for testable expiry).
     pub fn handle(&mut self, req: Request, now: Instant) -> Reply {
         self.started.get_or_insert(now);
@@ -290,46 +339,12 @@ impl Coordinator {
                 config: self.campaign.config().to_json(),
                 config_hash: format!("{:#018x}", self.campaign.config_hash()),
             },
-            Request::Lease { worker } => {
-                if self.campaign.is_complete() {
-                    return Reply::Done;
-                }
-                self.expire_leases(now);
-                let next = self
-                    .campaign
-                    .pending()
-                    .find(|s| !self.leases.contains_key(s) && !self.quarantined.contains(s));
-                // No fresh shard: before parking the worker, re-grant
-                // its own lowest outstanding lease — if its Assign
-                // reply was lost in flight, this heals the loss without
-                // waiting out a TTL expiry.
-                let next = next.or_else(|| {
-                    self.leases
-                        .iter()
-                        .filter(|(_, (w, _))| *w == worker)
-                        .map(|(&shard, _)| shard)
-                        .min()
-                });
-                match next {
-                    Some(shard) => {
-                        self.leases.insert(shard, (worker, now + self.lease_ttl));
-                        let unit = self.campaign.config().work_unit(shard);
-                        Reply::Assign {
-                            shard,
-                            start: unit.start,
-                            end: unit.end,
-                        }
-                    }
-                    // Degraded-terminal: everything still pending is
-                    // quarantined, so this worker will never get work —
-                    // let it drain instead of spinning on Wait.
-                    None if self.is_terminal() => Reply::Done,
-                    None => Reply::Wait {
-                        backoff_ms: WAIT_BACKOFF_MS,
-                    },
-                }
-            }
-            Request::Submit { worker, log } => {
+            Request::Lease { worker } => self.lease(&worker, now),
+            Request::Submit {
+                worker,
+                log,
+                lease_next,
+            } => {
                 let recorded =
                     ShardResult::from_json(&log, self.campaign.config_hash()).and_then(|r| {
                         let stats = (r.unit.shard, r.scanned, r.survivors.len() as u64);
@@ -369,10 +384,17 @@ impl Coordinator {
                             }
                             m.shards_done.set(self.campaign.progress().0);
                         }
+                        let next = match lease_next.then(|| self.lease(&worker, now)) {
+                            Some(Reply::Assign { shard, start, end }) => {
+                                Some(ShardLease { shard, start, end })
+                            }
+                            _ => None,
+                        };
                         Reply::Accepted {
                             shard,
                             fresh,
                             complete: self.campaign.is_complete(),
+                            next,
                         }
                     }
                     Err(e) => {
@@ -587,6 +609,7 @@ mod tests {
             Request::Submit {
                 worker: "a".into(),
                 log: log.clone(),
+                lease_next: false,
             },
             now,
         );
@@ -595,7 +618,8 @@ mod tests {
             Reply::Accepted {
                 shard: 1,
                 fresh: true,
-                complete: false
+                complete: false,
+                next: None,
             }
         );
         // The zombie resubmits the identical unit: accepted, not fresh,
@@ -605,6 +629,7 @@ mod tests {
             Request::Submit {
                 worker: "zombie".into(),
                 log,
+                lease_next: false,
             },
             now,
         );
@@ -613,7 +638,8 @@ mod tests {
             Reply::Accepted {
                 shard: 1,
                 fresh: false,
-                complete: false
+                complete: false,
+                next: None,
             }
         );
         let after = std::fs::read_to_string(coord.campaign().shard_log_path(1)).unwrap();
@@ -634,6 +660,7 @@ mod tests {
             Request::Submit {
                 worker: "a".into(),
                 log: foreign,
+                lease_next: false,
             },
             now,
         );
@@ -666,6 +693,7 @@ mod tests {
                         Request::Submit {
                             worker: "w".into(),
                             log: result.to_json(config.content_hash()),
+                            lease_next: false,
                         },
                         Instant::now(),
                     );
@@ -707,6 +735,7 @@ mod tests {
             Request::Submit {
                 worker: "b".into(),
                 log: shard_log(&config, 1),
+                lease_next: false,
             },
             t0 + Duration::from_secs(2),
         );
@@ -734,6 +763,110 @@ mod tests {
         assert_eq!(s.workers[0].last_submit_ms, None);
         // 2 shards remain at 1 shard per 4s of session time.
         assert_eq!(s.eta_ms, Some(8_000));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn submit_and_lease(config: &CampaignConfig, worker: &str, shard: u64) -> Request {
+        Request::Submit {
+            worker: worker.into(),
+            log: shard_log(config, shard),
+            lease_next: true,
+        }
+    }
+
+    fn lease_of(config: &CampaignConfig, shard: u64) -> Option<ShardLease> {
+        let unit = config.work_unit(shard);
+        Some(ShardLease {
+            shard,
+            start: unit.start,
+            end: unit.end,
+        })
+    }
+
+    #[test]
+    fn a_flagged_submission_carries_the_next_lease() {
+        let (mut coord, dir) = fresh_coordinator("piggyback", Duration::from_secs(60));
+        let config = coord.campaign().config().clone();
+        let t0 = Instant::now();
+        let r = coord.handle(Request::Lease { worker: "a".into() }, t0);
+        assert!(matches!(r, Reply::Assign { shard: 0, .. }));
+        let r = coord.handle(Request::Lease { worker: "b".into() }, t0);
+        assert!(matches!(r, Reply::Assign { shard: 1, .. }));
+        // a hands in shard 0 and gets the lowest pending, unleased shard.
+        let r = coord.handle(submit_and_lease(&config, "a", 0), t0);
+        assert_eq!(
+            r,
+            Reply::Accepted {
+                shard: 0,
+                fresh: true,
+                complete: false,
+                next: lease_of(&config, 2),
+            }
+        );
+        let Reply::Status(s) = coord.handle(
+            Request::Status {
+                worker: "watch1".into(),
+            },
+            t0,
+        ) else {
+            panic!("expected status reply")
+        };
+        let leases: Vec<(u64, &str)> = s
+            .leases
+            .iter()
+            .map(|l| (l.shard, l.worker.as_str()))
+            .collect();
+        assert_eq!(leases, [(1, "b"), (2, "a")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flagged_duplicate_at_the_tail_regrants_the_workers_own_lease() {
+        let (mut coord, dir) = fresh_coordinator("piggyback-tail", Duration::from_secs(60));
+        let config = coord.campaign().config().clone();
+        let t0 = Instant::now();
+        coord.handle(Request::Lease { worker: "a".into() }, t0);
+        coord.handle(Request::Lease { worker: "b".into() }, t0);
+        let r = coord.handle(submit_and_lease(&config, "a", 0), t0);
+        assert!(matches!(
+            r,
+            Reply::Accepted {
+                next: Some(ShardLease { shard: 2, .. }),
+                ..
+            }
+        ));
+        // That reply was lost and a resends: a duplicate, and with no
+        // fresh shard left, a gets its own outstanding lease back.
+        let r = coord.handle(submit_and_lease(&config, "a", 0), t0);
+        assert_eq!(
+            r,
+            Reply::Accepted {
+                shard: 0,
+                fresh: false,
+                complete: false,
+                next: lease_of(&config, 2),
+            }
+        );
+        // b holds nothing more and nothing is free: a Wait, so no lease.
+        let r = coord.handle(submit_and_lease(&config, "b", 1), t0);
+        assert!(matches!(
+            r,
+            Reply::Accepted {
+                fresh: true,
+                next: None,
+                ..
+            }
+        ));
+        // The last shard completes the campaign: Done, so no lease.
+        let r = coord.handle(submit_and_lease(&config, "a", 2), t0);
+        assert!(matches!(
+            r,
+            Reply::Accepted {
+                complete: true,
+                next: None,
+                ..
+            }
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -785,6 +918,7 @@ mod tests {
                 Request::Submit {
                     worker: "ok".into(),
                     log: shard_log(&config, shard),
+                    lease_next: false,
                 },
                 late,
             );
@@ -836,6 +970,7 @@ mod tests {
             Request::Submit {
                 worker: "slow".into(),
                 log: shard_log(&config, 0),
+                lease_next: false,
             },
             late,
         );
@@ -846,6 +981,7 @@ mod tests {
                 Request::Submit {
                     worker: "other".into(),
                     log: shard_log(&config, shard),
+                    lease_next: false,
                 },
                 late,
             );
@@ -864,6 +1000,7 @@ mod tests {
                 Request::Submit {
                     worker: "w".into(),
                     log: shard_log(&config, shard),
+                    lease_next: false,
                 },
                 now,
             );
@@ -905,7 +1042,11 @@ mod tests {
             }
             let worker = "w".to_string();
             let req = match self.submit.take_if(|_| elapsed >= self.busy_for / 2) {
-                Some(log) => Request::Submit { worker, log },
+                Some(log) => Request::Submit {
+                    worker,
+                    log,
+                    lease_next: false,
+                },
                 None => Request::Hello { worker },
             };
             handler(req);
@@ -946,6 +1087,7 @@ mod tests {
         let submit = |shard| Request::Submit {
             worker: worker(),
             log: shard_log(&config, shard),
+            lease_next: false,
         };
         let requests = [
             Request::Hello { worker: worker() },
@@ -997,6 +1139,7 @@ mod tests {
                 Request::Submit {
                     worker: "w".into(),
                     log,
+                    lease_next: false,
                 },
                 Instant::now(),
             );
@@ -1013,6 +1156,7 @@ mod tests {
             .call(&Request::Submit {
                 worker: "w".into(),
                 log: shard_log(&config, 2),
+                lease_next: false,
             })
             .unwrap();
         assert_eq!(reply, Reply::Done);

@@ -15,6 +15,14 @@
 //!   `std::net`: one connection per request, one compact-rendered
 //!   request line in, one reply line back.
 //!
+//! After a worker's first [`Request::Lease`], each shard costs one round
+//! trip: a [`Request::Submit`] with `lease_next` set asks for the next
+//! shard, and the [`Reply::Accepted`] carries it in `next`. Both fields
+//! are omitted from the wire when unset, and a missing field reads as
+//! unset, so peers built before them interoperate with peers built
+//! after: an old worker never asks, and an old coordinator never
+//! answers, in which case the worker falls back to an explicit lease.
+//!
 //! Both sides see only the [`Request`]/[`Reply`] enums; the coordinator
 //! serves any [`ServeTransport`], a worker drives any
 //! [`WorkerTransport`]. Transport choice never affects campaign
@@ -59,6 +67,10 @@ pub enum Request {
         worker: String,
         /// The shard-log JSON document.
         log: Json,
+        /// Also lease the worker its next shard, answered in
+        /// [`Reply::Accepted`]'s `next`. On the wire as `lease_next`,
+        /// present only when `true`.
+        lease_next: bool,
     },
     /// Asks for a live status report (`survey watch`, dashboards).
     /// Read-only: status requests never acquire leases and are not
@@ -91,11 +103,21 @@ impl Request {
                 ("type", Json::Str("lease".into())),
                 ("worker", Json::Str(worker.clone())),
             ]),
-            Request::Submit { worker, log } => Json::obj([
-                ("type", Json::Str("submit".into())),
-                ("worker", Json::Str(worker.clone())),
-                ("log", log.clone()),
-            ]),
+            Request::Submit {
+                worker,
+                log,
+                lease_next,
+            } => {
+                let mut pairs = vec![
+                    ("type", Json::Str("submit".into())),
+                    ("worker", Json::Str(worker.clone())),
+                    ("log", log.clone()),
+                ];
+                if *lease_next {
+                    pairs.push(("lease_next", Json::Bool(true)));
+                }
+                Json::obj(pairs)
+            }
             Request::Status { worker } => Json::obj([
                 ("type", Json::Str("status".into())),
                 ("worker", Json::Str(worker.clone())),
@@ -121,6 +143,12 @@ impl Request {
             Some("submit") => Ok(Request::Submit {
                 worker,
                 log: v.require("log")?.clone(),
+                lease_next: match v.get("lease_next") {
+                    None => false,
+                    Some(flag) => flag
+                        .as_bool()
+                        .ok_or_else(|| Error::Parse("lease_next is not a bool".into()))?,
+                },
             }),
             Some("status") => Ok(Request::Status { worker }),
             other => Err(Error::Parse(format!("unknown request type {other:?}"))),
@@ -166,6 +194,11 @@ pub enum Reply {
         /// `true` once the whole campaign is complete — the worker may
         /// exit without another round trip.
         complete: bool,
+        /// The worker's next lease, when the submission asked for one
+        /// (`lease_next`) and the coordinator would have answered a
+        /// [`Request::Lease`] with [`Reply::Assign`]. On the wire only
+        /// when present.
+        next: Option<ShardLease>,
     },
     /// The request was rejected (wrong campaign, conflicting bytes,
     /// malformed log). Semantic and permanent: resending the same
@@ -184,6 +217,41 @@ pub enum Reply {
     },
     /// Answer to [`Request::Status`]: a live progress report.
     Status(StatusReport),
+}
+
+/// A granted shard lease: [`Reply::Assign`]'s fields, as carried in
+/// [`Reply::Accepted`]'s `next`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardLease {
+    /// Shard id.
+    pub shard: u64,
+    /// First offset (or draw index) covered, inclusive.
+    pub start: u64,
+    /// One past the last offset covered.
+    pub end: u64,
+}
+
+impl ShardLease {
+    fn to_json(self) -> Json {
+        Json::obj([
+            ("shard", Json::Int(self.shard)),
+            ("start", Json::Int(self.start)),
+            ("end", Json::Int(self.end)),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<ShardLease> {
+        let int = |key: &str| -> Result<u64> {
+            v.require(key)?
+                .as_u64()
+                .ok_or_else(|| Error::Parse(format!("lease {key} is not an unsigned integer")))
+        };
+        Ok(ShardLease {
+            shard: int("shard")?,
+            start: int("start")?,
+            end: int("end")?,
+        })
+    }
 }
 
 /// One outstanding shard lease, as reported by [`Reply::Status`].
@@ -446,12 +514,19 @@ impl Reply {
                 shard,
                 fresh,
                 complete,
-            } => Json::obj([
-                ("type", Json::Str("accepted".into())),
-                ("shard", Json::Int(*shard)),
-                ("fresh", Json::Bool(*fresh)),
-                ("complete", Json::Bool(*complete)),
-            ]),
+                next,
+            } => {
+                let mut pairs = vec![
+                    ("type", Json::Str("accepted".into())),
+                    ("shard", Json::Int(*shard)),
+                    ("fresh", Json::Bool(*fresh)),
+                    ("complete", Json::Bool(*complete)),
+                ];
+                if let Some(lease) = next {
+                    pairs.push(("next", lease.to_json()));
+                }
+                Json::obj(pairs)
+            }
             Reply::Refused { reason } => Json::obj([
                 ("type", Json::Str("refused".into())),
                 ("reason", Json::Str(reason.clone())),
@@ -509,6 +584,7 @@ impl Reply {
                     .require("complete")?
                     .as_bool()
                     .ok_or_else(|| Error::Parse("complete is not a bool".into()))?,
+                next: v.get("next").map(ShardLease::from_json).transpose()?,
             }),
             Some("refused") => Ok(Reply::Refused {
                 reason: v
@@ -1136,6 +1212,12 @@ mod tests {
             Request::Submit {
                 worker: "w1".into(),
                 log: Json::obj([("shard", Json::Int(3))]),
+                lease_next: false,
+            },
+            Request::Submit {
+                worker: "w1".into(),
+                log: Json::obj([("shard", Json::Int(4))]),
+                lease_next: true,
             },
             Request::Status {
                 worker: "watch1".into(),
@@ -1157,6 +1239,17 @@ mod tests {
                 shard: 2,
                 fresh: true,
                 complete: false,
+                next: None,
+            },
+            Reply::Accepted {
+                shard: 2,
+                fresh: false,
+                complete: false,
+                next: Some(ShardLease {
+                    shard: 3,
+                    start: 768,
+                    end: 1024,
+                }),
             },
             Reply::Refused {
                 reason: "wrong campaign".into(),
@@ -1218,6 +1311,46 @@ mod tests {
     }
 
     #[test]
+    fn unset_lease_fields_keep_the_old_wire_form() {
+        // Lines as peers without `lease_next`/`next` write them.
+        let submit = r#"{"type": "submit", "worker": "w1", "log": {"shard": 3}}"#;
+        let accepted = r#"{"type": "accepted", "shard": 2, "fresh": true, "complete": false}"#;
+        let req = Request::from_json(&Json::parse(submit).unwrap()).unwrap();
+        assert!(matches!(
+            req,
+            Request::Submit {
+                lease_next: false,
+                ..
+            }
+        ));
+        assert_eq!(req.to_json().render_compact(), submit);
+        let reply = Reply::from_json(&Json::parse(accepted).unwrap()).unwrap();
+        assert!(matches!(reply, Reply::Accepted { next: None, .. }));
+        assert_eq!(reply.to_json().render_compact(), accepted);
+    }
+
+    #[test]
+    fn a_malformed_next_lease_is_a_parse_error() {
+        for line in [
+            r#"{"type":"accepted","shard":2,"fresh":true,"complete":false,"next":{"shard":3,"start":0}}"#,
+            r#"{"type":"accepted","shard":2,"fresh":true,"complete":false,"next":{"shard":3,"start":0,"end":"9"}}"#,
+            r#"{"type":"accepted","shard":2,"fresh":true,"complete":false,"next":{"shard":-3,"start":0,"end":9}}"#,
+            r#"{"type":"accepted","shard":2,"fresh":true,"complete":false,"next":7}"#,
+            r#"{"type":"submit","worker":"w1","log":{},"lease_next":1}"#,
+        ] {
+            // CRC-valid: the frame passes, the schema does not.
+            let framed = frame::encode(line);
+            let doc = Json::parse(frame::decode(&framed).unwrap()).unwrap();
+            let err = if line.contains("submit") {
+                Request::from_json(&doc).unwrap_err()
+            } else {
+                Reply::from_json(&doc).unwrap_err()
+            };
+            assert!(matches!(err, Error::Parse(_)), "{line}: {err:?}");
+        }
+    }
+
+    #[test]
     fn worker_names_are_validated() {
         assert!(validate_worker_name("w1").is_ok());
         assert!(validate_worker_name("host-3.worker_9").is_ok());
@@ -1238,6 +1371,7 @@ mod tests {
                 shard: log.get("shard").and_then(Json::as_u64).unwrap_or(0),
                 fresh: true,
                 complete: false,
+                next: None,
             },
             Request::Status { .. } => Reply::Status(StatusReport {
                 done: 1,
@@ -1290,12 +1424,14 @@ mod tests {
                 .call(&Request::Submit {
                     worker: "w1".into(),
                     log: Json::obj([("shard", Json::Int(5))]),
+                    lease_next: false,
                 })
                 .unwrap(),
             Reply::Accepted {
                 shard: 5,
                 fresh: true,
-                complete: false
+                complete: false,
+                next: None,
             }
         );
         server_thread.join().unwrap();

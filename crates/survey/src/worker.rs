@@ -1,5 +1,12 @@
 //! The remote worker loop: lease, evaluate, submit, repeat.
 //!
+//! Only the first lease is an explicit [`Request::Lease`]. Each
+//! submission asks for the next shard as well (`lease_next`), and the
+//! coordinator's [`Reply::Accepted`] carries it, so a steady-state shard
+//! costs one round trip. The worker sends an explicit lease again only
+//! when an acceptance came back without one (nothing to lease right
+//! now, or a coordinator that predates the field).
+//!
 //! A worker is stateless apart from its scratch buffers: it learns the
 //! campaign configuration from the coordinator's
 //! [`Reply::Welcome`], verifies the echoed content hash, and then runs
@@ -26,7 +33,7 @@
 
 use crate::campaign::CampaignConfig;
 use crate::engine::{evaluate_unit, UnitScratch};
-use crate::transport::{Reply, Request, WorkerTransport};
+use crate::transport::{Reply, Request, ShardLease, WorkerTransport};
 use crate::{Error, Result};
 use gf2poly::SplitMix64;
 use std::time::{Duration, Instant};
@@ -188,111 +195,121 @@ pub fn run_worker(
     let mut summary = WorkerSummary::default();
     let t0 = Instant::now();
     let mut scanned = 0u64;
+    // The lease the last acceptance carried; without one, ask for a
+    // lease explicitly.
+    let mut next: Option<ShardLease> = None;
     loop {
         if opts
             .max_shards
             .is_some_and(|max| summary.shards_submitted >= max)
         {
-            summary.retries = retrier.retries;
-            return Ok(summary);
+            break;
         }
+        let ShardLease { shard, start, end } = match next.take() {
+            Some(lease) => lease,
+            None => match retrier.call(
+                transport,
+                "lease",
+                &Request::Lease {
+                    worker: opts.name.clone(),
+                },
+            )? {
+                Reply::Assign { shard, start, end } => ShardLease { shard, start, end },
+                Reply::Wait { backoff_ms } => {
+                    // Jitter the hinted backoff (uniform in [½·hint,
+                    // 1½·hint]) so waiting workers return staggered
+                    // instead of re-asking in the same poll tick.
+                    summary.waits += 1;
+                    if let Some(m) = crate::metrics::worker() {
+                        m.waits.inc();
+                    }
+                    let hint = backoff_ms.clamp(1, 2_000);
+                    let ms = retrier.jitter_ms(hint / 2, hint + hint / 2);
+                    std::thread::sleep(Duration::from_millis(ms));
+                    continue;
+                }
+                Reply::Done => break,
+                other => {
+                    return Err(Error::Parse(format!(
+                        "expected assign/wait/done, got {other:?}"
+                    )))
+                }
+            },
+        };
+        if shard >= config.shards {
+            return Err(Error::Parse(format!(
+                "leased shard {shard} outside the campaign"
+            )));
+        }
+        let unit = config.work_unit(shard);
+        if (unit.start, unit.end) != (start, end) {
+            return Err(Error::Parse(format!(
+                "lease for shard {shard} covers {start}..{end}, config says {}..{}",
+                unit.start, unit.end
+            )));
+        }
+        let result = {
+            let span = crate::metrics::engine().map(|m| telemetry::Span::start(&m.shard_us));
+            let r = evaluate_unit(&config, unit, &mut scratch)?;
+            if let Some(sp) = span {
+                sp.finish();
+            }
+            r
+        };
+        crate::metrics::observe_index(scratch.workspace());
+        scanned += result.scanned;
+        if let Some(m) = crate::metrics::worker() {
+            m.shards.inc();
+            let us = t0.elapsed().as_micros().max(1) as u64;
+            m.polys_per_s.set(scanned.saturating_mul(1_000_000) / us);
+        }
+        // Ask for the next shard with this one, unless this submission
+        // reaches `max_shards`: a lease the worker will not run would sit
+        // out its TTL at the coordinator.
+        let lease_next = opts
+            .max_shards
+            .is_none_or(|max| summary.shards_submitted + 1 < max);
         match retrier.call(
             transport,
-            "lease",
-            &Request::Lease {
+            "submit",
+            &Request::Submit {
                 worker: opts.name.clone(),
+                log: result.to_json(hash),
+                lease_next,
             },
         )? {
-            Reply::Assign { shard, start, end } => {
-                if shard >= config.shards {
-                    return Err(Error::Parse(format!(
-                        "leased shard {shard} outside the campaign"
-                    )));
+            Reply::Accepted {
+                fresh,
+                complete,
+                next: granted,
+                ..
+            } => {
+                summary.shards_submitted += 1;
+                if !fresh {
+                    summary.duplicates += 1;
                 }
-                let unit = config.work_unit(shard);
-                if (unit.start, unit.end) != (start, end) {
-                    return Err(Error::Parse(format!(
-                        "lease for shard {shard} covers {start}..{end}, config says {}..{}",
-                        unit.start, unit.end
-                    )));
+                if complete {
+                    break;
                 }
-                let result = {
-                    let span =
-                        crate::metrics::engine().map(|m| telemetry::Span::start(&m.shard_us));
-                    let r = evaluate_unit(&config, unit, &mut scratch)?;
-                    if let Some(sp) = span {
-                        sp.finish();
-                    }
-                    r
-                };
-                crate::metrics::observe_index(scratch.workspace());
-                scanned += result.scanned;
-                if let Some(m) = crate::metrics::worker() {
-                    m.shards.inc();
-                    let us = t0.elapsed().as_micros().max(1) as u64;
-                    m.polys_per_s.set(scanned.saturating_mul(1_000_000) / us);
-                }
-                match retrier.call(
-                    transport,
-                    "submit",
-                    &Request::Submit {
-                        worker: opts.name.clone(),
-                        log: result.to_json(hash),
-                    },
-                )? {
-                    Reply::Accepted {
-                        fresh, complete, ..
-                    } => {
-                        summary.shards_submitted += 1;
-                        if !fresh {
-                            summary.duplicates += 1;
-                        }
-                        if complete {
-                            summary.retries = retrier.retries;
-                            return Ok(summary);
-                        }
-                    }
-                    Reply::Refused { reason } => {
-                        return Err(Error::Config(format!(
-                            "coordinator refused shard {shard}: {reason}"
-                        )));
-                    }
-                    // The coordinator finished without serving this
-                    // submission: the campaign is over either way.
-                    Reply::Done => {
-                        summary.retries = retrier.retries;
-                        return Ok(summary);
-                    }
-                    other => {
-                        return Err(Error::Parse(format!(
-                            "expected accepted/refused/done, got {other:?}"
-                        )))
-                    }
-                }
+                next = granted;
             }
-            Reply::Wait { backoff_ms } => {
-                // Jitter the hinted backoff (uniform in [½·hint,
-                // 1½·hint]) so waiting workers return staggered instead
-                // of re-asking in the same poll tick.
-                summary.waits += 1;
-                if let Some(m) = crate::metrics::worker() {
-                    m.waits.inc();
-                }
-                let hint = backoff_ms.clamp(1, 2_000);
-                let ms = retrier.jitter_ms(hint / 2, hint + hint / 2);
-                std::thread::sleep(Duration::from_millis(ms));
+            Reply::Refused { reason } => {
+                return Err(Error::Config(format!(
+                    "coordinator refused shard {shard}: {reason}"
+                )));
             }
-            Reply::Done => {
-                summary.retries = retrier.retries;
-                return Ok(summary);
-            }
+            // The coordinator finished without serving this submission:
+            // the campaign is over either way.
+            Reply::Done => break,
             other => {
                 return Err(Error::Parse(format!(
-                    "expected assign/wait/done, got {other:?}"
+                    "expected accepted/refused/done, got {other:?}"
                 )))
             }
         }
     }
+    summary.retries = retrier.retries;
+    Ok(summary)
 }
 
 #[cfg(test)]
@@ -379,6 +396,155 @@ mod tests {
                 }
                 _ => Reply::Done,
             })
+        }
+    }
+
+    /// Serves a coordinator in-process and records each request's type.
+    struct Direct<'a> {
+        coord: &'a mut Coordinator,
+        sent: Vec<String>,
+    }
+
+    impl WorkerTransport for Direct<'_> {
+        fn call(&mut self, req: &Request) -> crate::Result<Reply> {
+            let doc = req.to_json();
+            self.sent
+                .push(doc.require("type").unwrap().as_str().unwrap().to_string());
+            Ok(self.coord.handle(req.clone(), Instant::now()))
+        }
+    }
+
+    fn test_coordinator(tag: &str) -> (Coordinator, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("crc-worker-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let campaign = Campaign::create(&dir, tiny_config()).unwrap();
+        (Coordinator::new(campaign, Duration::from_secs(60)), dir)
+    }
+
+    fn options(max_shards: Option<u64>) -> WorkerOptions {
+        WorkerOptions {
+            name: "w".into(),
+            max_shards,
+            retry: fast_policy(),
+        }
+    }
+
+    #[test]
+    fn each_shard_after_the_first_costs_one_request() {
+        let (mut coord, dir) = test_coordinator("one-trip");
+        let mut transport = Direct {
+            coord: &mut coord,
+            sent: Vec::new(),
+        };
+        let summary = run_worker(&mut transport, &options(None)).unwrap();
+        assert_eq!(summary.shards_submitted, 4);
+        assert_eq!(
+            transport.sent,
+            ["hello", "lease", "submit", "submit", "submit", "submit"],
+            "every acceptance carried the next lease"
+        );
+        assert!(coord.campaign().is_complete());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_worker_that_stops_at_max_shards_holds_no_lease() {
+        let (mut coord, dir) = test_coordinator("max-shards");
+        let mut transport = Direct {
+            coord: &mut coord,
+            sent: Vec::new(),
+        };
+        let summary = run_worker(&mut transport, &options(Some(2))).unwrap();
+        assert_eq!(summary.shards_submitted, 2);
+        assert_eq!(transport.sent, ["hello", "lease", "submit", "submit"]);
+        let status = coord.status(Instant::now());
+        assert_eq!(status.done, 2);
+        assert!(
+            status.leases.is_empty(),
+            "the last submission asked for no lease: {:?}",
+            status.leases
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Leases shard 0 correctly, then hands out `bad` for shard 1: as an
+    /// explicit `Assign`, or riding on the acceptance of shard 0.
+    struct BadSecondLease {
+        config: CampaignConfig,
+        bad: ShardLease,
+        piggyback: bool,
+        leases: u32,
+        submits: u32,
+    }
+
+    impl WorkerTransport for BadSecondLease {
+        fn call(&mut self, req: &Request) -> crate::Result<Reply> {
+            let unit = self.config.work_unit(0);
+            let first = ShardLease {
+                shard: 0,
+                start: unit.start,
+                end: unit.end,
+            };
+            let assign = |l: ShardLease| Reply::Assign {
+                shard: l.shard,
+                start: l.start,
+                end: l.end,
+            };
+            Ok(match req {
+                Request::Hello { .. } => Reply::Welcome {
+                    config: self.config.to_json(),
+                    config_hash: format!("{:#018x}", self.config.content_hash()),
+                },
+                Request::Lease { .. } => {
+                    self.leases += 1;
+                    assign(if self.leases == 1 { first } else { self.bad })
+                }
+                Request::Submit { lease_next, .. } => {
+                    self.submits += 1;
+                    // A worker that ran the bad lease anyway ends here,
+                    // without an error.
+                    Reply::Accepted {
+                        shard: 0,
+                        fresh: true,
+                        complete: self.submits > 1,
+                        next: (self.piggyback && *lease_next).then_some(self.bad),
+                    }
+                }
+                Request::Status { .. } => Reply::Done,
+            })
+        }
+    }
+
+    #[test]
+    fn a_piggybacked_lease_is_checked_like_an_assign() {
+        let config = tiny_config();
+        let unit = config.work_unit(1);
+        for bad in [
+            ShardLease {
+                shard: 1,
+                start: unit.start,
+                end: unit.end + 1,
+            },
+            ShardLease {
+                shard: config.shards,
+                start: 0,
+                end: 1,
+            },
+        ] {
+            let errors = [true, false].map(|piggyback| {
+                let mut transport = BadSecondLease {
+                    config: config.clone(),
+                    bad,
+                    piggyback,
+                    leases: 0,
+                    submits: 0,
+                };
+                run_worker(&mut transport, &options(None))
+                    .unwrap_err()
+                    .to_string()
+            });
+            assert_eq!(errors[0], errors[1]);
+            assert!(errors[0].contains("lease"), "{}", errors[0]);
         }
     }
 

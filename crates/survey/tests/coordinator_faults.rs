@@ -136,6 +136,7 @@ fn distributed_run_with_faults_matches_single_host_bytes() {
         .call(&Request::Submit {
             worker: "zombie".into(),
             log: stale.to_json(cfg.content_hash()),
+            lease_next: false,
         })
         .unwrap();
     assert_eq!(
@@ -144,6 +145,7 @@ fn distributed_run_with_faults_matches_single_host_bytes() {
             shard: orphaned,
             fresh: false,
             complete: true,
+            next: None,
         }
     );
 

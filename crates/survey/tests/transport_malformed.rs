@@ -6,7 +6,9 @@
 
 use crc_survey::frame;
 use crc_survey::json::Json;
-use crc_survey::transport::{FileQueueServer, Reply, Request, ServeTransport, TcpServer};
+use crc_survey::transport::{
+    FileQueueServer, Reply, Request, ServeTransport, ShardLease, TcpServer,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -31,6 +33,12 @@ fn sample_frames() -> Vec<String> {
         Request::Submit {
             worker: "w1".into(),
             log: Json::obj([("shard", Json::Int(3))]),
+            lease_next: false,
+        },
+        Request::Submit {
+            worker: "w1".into(),
+            log: Json::obj([("shard", Json::Int(3))]),
+            lease_next: true,
         },
         Request::Status {
             worker: "w1".into(),
@@ -51,7 +59,19 @@ fn sample_frames() -> Vec<String> {
             reason: "CRC mismatch".into(),
         },
         Reply::Done,
+        Reply::Accepted {
+            shard: 5,
+            fresh: true,
+            complete: false,
+            next: Some(ShardLease {
+                shard: 6,
+                start: 100,
+                end: 199,
+            }),
+        },
     ];
+    // CRC-valid, but its `next` lease has no `end`.
+    let bad_next = r#"{"type": "accepted", "shard": 5, "fresh": true, "complete": false, "next": {"shard": 6, "start": 100}}"#;
     reqs.iter()
         .map(|r| frame::encode(&r.to_json().render_compact()))
         .chain(
@@ -59,6 +79,7 @@ fn sample_frames() -> Vec<String> {
                 .iter()
                 .map(|r| frame::encode(&r.to_json().render_compact())),
         )
+        .chain([frame::encode(bad_next)])
         .collect()
 }
 
