@@ -25,8 +25,9 @@
 //! ratios between batches run back to back, so a speed switch between
 //! two cells cannot fake a gap. Every timed batch is sized to run ≥ 2
 //! ms: after a warm-up, the call count doubles until one batch takes
-//! that long. The summary prints the shortest batch actually timed,
-//! since a host that speeds up after calibration runs shorter batches.
+//! that long, and a timed batch that still comes in shorter (the host
+//! sped up after calibration) is rerun at double the count, which the
+//! cell keeps. The summary prints the shortest batch kept.
 //!
 //! Usage: `cargo run --release -p crc-experiments --bin crc_throughput
 //! [--reps N] [--out PATH]`
@@ -109,19 +110,26 @@ fn calibrate<T>(mut f: impl FnMut() -> T) -> usize {
     calls
 }
 
-/// Times batches of calls and remembers the shortest batch it timed.
+/// Times batches of calls and remembers the shortest batch it kept.
 struct Batches {
     shortest_s: f64,
     timed: usize,
 }
 
 impl Batches {
-    /// Nanoseconds per call of `f` over one batch of `calls`.
-    fn batch<T>(&mut self, calls: usize, mut f: impl FnMut() -> T) -> f64 {
-        let s = time(calls, &mut f);
+    /// Nanoseconds per call of `f` over one batch of `calls`. A batch
+    /// under [`MIN_BATCH_S`] (the host sped up since calibration) is
+    /// rerun with the count doubled, and the cell keeps the larger count
+    /// for its later repetitions.
+    fn batch<T>(&mut self, calls: &mut usize, mut f: impl FnMut() -> T) -> f64 {
+        let mut s = time(*calls, &mut f);
+        while s < MIN_BATCH_S && *calls < 1 << 30 {
+            *calls *= 2;
+            s = time(*calls, &mut f);
+        }
         self.shortest_s = self.shortest_s.min(s);
         self.timed += 1;
-        s * 1e9 / calls as f64
+        s * 1e9 / *calls as f64
     }
 }
 
@@ -172,7 +180,7 @@ fn main() {
         let crcs: Vec<Crc> = Column::ALL.iter().map(|c| c.build(params)).collect();
         for &size in &sizes {
             let data: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
-            let calls: Vec<usize> = crcs
+            let mut calls: Vec<usize> = crcs
                 .iter()
                 .map(|crc| calibrate(|| checksum(crc, &data)))
                 .collect();
@@ -181,7 +189,7 @@ fn main() {
             for _ in 0..reps.max(1) {
                 let mut best = f64::MAX;
                 for (i, &column) in Column::ALL.iter().enumerate() {
-                    let ns = batches.batch(calls[i], || checksum(&crcs[i], &data));
+                    let ns = batches.batch(&mut calls[i], || checksum(&crcs[i], &data));
                     times[i].push(ns);
                     if column == Column::Auto {
                         auto_vs_best.push(ns / best);
@@ -215,14 +223,14 @@ fn main() {
             let p = std::hint::black_box(params);
             Crc::try_with_engine(p, kind).expect("catalog parameters")
         };
-        let calls: Vec<usize> = EngineKind::ALL
+        let mut calls: Vec<usize> = EngineKind::ALL
             .iter()
             .map(|&kind| calibrate(|| build(kind)))
             .collect();
         let mut times = vec![Vec::new(); EngineKind::ALL.len()];
         for _ in 0..reps.max(1) {
             for (i, &kind) in EngineKind::ALL.iter().enumerate() {
-                times[i].push(batches.batch(calls[i], || build(kind)));
+                times[i].push(batches.batch(&mut calls[i], || build(kind)));
             }
         }
         print!("{:<18} {:>7} ", params.name, "ctor_ns");
@@ -259,10 +267,11 @@ fn main() {
     for size in [128usize, 1514, 65_536] {
         let data: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
         let calls = calibrate(|| checksum(&iso, &data));
+        let mut calls = [calls, calls];
         let ratios = (0..3 * reps.max(1))
             .map(|_| {
-                let reflected = batches.batch(calls, || checksum(&iso, &data));
-                reflected / batches.batch(calls, || checksum(&bzip2, &data))
+                let reflected = batches.batch(&mut calls[0], || checksum(&iso, &data));
+                reflected / batches.batch(&mut calls[1], || checksum(&bzip2, &data))
             })
             .collect();
         let r = median(ratios);

@@ -22,7 +22,7 @@ fn main() {
         let mut counts = [0usize; 3];
         let mut best = 0;
         for (i, hd) in [4u32, 5, 6].iter().enumerate() {
-            counts[i] = exhaustive_search(8, n, *hd, 2).expect("8-bit search").len();
+            counts[i] = exhaustive_search(8, n, *hd).expect("8-bit search").len();
         }
         for g in PolySpace::new(8).iter_canonical() {
             best = best.max(hd_exhaustive(&g, n).expect("small length"));
@@ -40,7 +40,7 @@ fn main() {
     // Consistency: at 8 data bits the filter verdicts must equal the
     // spectrum ground truth for every polynomial.
     let n = 8;
-    let survivors: std::collections::BTreeSet<u64> = exhaustive_search(8, n, 4, 2)
+    let survivors: std::collections::BTreeSet<u64> = exhaustive_search(8, n, 4)
         .expect("verify pass")
         .into_iter()
         .map(|s| s.poly.koopman())
@@ -62,14 +62,14 @@ fn main() {
         space.distinct()
     );
     let t0 = Instant::now();
-    let survivors = exhaustive_search(16, len16, hd16, 2).expect("16-bit search");
+    let survivors = exhaustive_search(16, len16, hd16).expect("16-bit search");
     let dt = t0.elapsed().as_secs_f64();
     println!(
-        "  {} survivors in {:.1}s ({:.0} polys/s/core on this machine; \
+        "  {} survivors in {:.1}s ({:.0} polys/s on one core; \
          the paper reports ~2/s/CPU on 2001 hardware)\n",
         survivors.len(),
         dt,
-        space.distinct() as f64 / dt / 2.0
+        space.distinct() as f64 / dt
     );
 
     // Class breakdown of survivors — the Table 2 *shape* at 16 bits.
@@ -87,7 +87,7 @@ fn main() {
 
     // The paper's structural finding at 16-bit scale: HD=6 implies the
     // parity factor. Pick a length where 16-bit HD=6 is achievable.
-    let hd6 = exhaustive_search(16, 120, 6, 2).expect("hd6 search");
+    let hd6 = exhaustive_search(16, 120, 6).expect("hd6 search");
     let all_parity = hd6.iter().all(|s| s.poly.divisible_by_x_plus_1());
     println!(
         "HD>=6 at 120 bits: {} survivors, all divisible by (x+1): {}",

@@ -61,14 +61,31 @@ pub fn poly(koopman: u64) -> GenPoly {
 }
 
 /// Parses a `--flag value` style argument from the command line, falling
-/// back to `default`.
+/// back to `default` when the flag is absent. A flag given with a missing
+/// or unparsable value prints the error and exits with status 2.
 pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_arg(&args, flag, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The value after `flag` in `args`, parsed; `default` when `flag` is
+/// absent.
+///
+/// # Errors
+///
+/// A message naming `flag` when it is present but has no value after it
+/// or the value does not parse.
+fn parse_arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args.get(i + 1).ok_or(format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("bad value {value:?} for {flag}"))
 }
 
 /// Marked message lengths from Figure 1's x-axis annotations.
@@ -93,6 +110,22 @@ mod tests {
             let sig = gf2poly::factor(g.to_poly()).signature().to_string();
             assert_eq!(sig, class, "{k:#010X}");
         }
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_arg_reads_or_defaults_and_rejects_bad_values() {
+        let absent = args(&["table2", "--seed", "7"]);
+        assert_eq!(parse_arg(&absent, "--samples", 2_000u64), Ok(2_000));
+        let valid = args(&["table2", "--samples", "200"]);
+        assert_eq!(parse_arg(&valid, "--samples", 2_000u64), Ok(200));
+        let bad = parse_arg(&args(&["--samples", "2k"]), "--samples", 2_000u64).unwrap_err();
+        assert!(bad.contains("--samples") && bad.contains("2k"), "{bad}");
+        let trailing = parse_arg(&args(&["--samples"]), "--samples", 2_000u64).unwrap_err();
+        assert!(trailing.contains("--samples"), "{trailing}");
     }
 
     #[test]

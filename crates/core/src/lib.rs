@@ -28,9 +28,8 @@
 //! * [`filter`] — the paper's §4.1 filtering pipeline: early-bailout
 //!   enumeration, FCS-bits-first ordering, increasing-length staging and
 //!   inverse filtering, for the ablation experiments.
-//! * [`search`] — parallel exhaustive search over whole polynomial spaces
-//!   (run in full at 8/16 bits, as the paper's own validation did) and the
-//!   sampled factorization-class census reproducing Table 2.
+//! * [`search`] — exhaustive search over whole polynomial spaces (run in
+//!   full at 8/16 bits, as the paper's own validation did).
 //! * [`costmodel`] — the paper's §3 cost model ("151 million years").
 //!
 //! # Screening architecture: the syndrome workspace

@@ -467,6 +467,7 @@ pub fn render_census_table(doc: &Json) -> String {
 mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
+    use crate::engine::{evaluate_unit, UnitScratch};
 
     #[test]
     fn tap_strata_partition_the_space() {
@@ -547,6 +548,51 @@ mod tests {
         // Unsampled stratum renders zeros, not NaN.
         let (eu, ..) = extrapolate(size, 0, 0, Z95);
         assert_eq!(eu, "0.000000");
+    }
+
+    #[test]
+    fn covered_class_stratum_matches_exhaustive_search() {
+        // Class {1,7} at width 8 is (x+1) × the 18 degree-7 irreducibles;
+        // 2000 draws cover every member, so the stratum's survivors are
+        // exactly the oracle's and the extrapolation is their count.
+        let config = CampaignConfig {
+            width: 8,
+            shards: 9,
+            seed: 7,
+            mode: Mode::Census {
+                per_stratum: 2000,
+                classes: vec!["{1,7}".into()],
+            },
+            min_hd: 4,
+            target_lengths: vec![16],
+            ber_grid: vec![1e-5],
+            max_weight: 4,
+        };
+        config.validate().unwrap();
+        let class = config.work_unit(8); // after the 8 tap strata
+        let mut scratch = UnitScratch::default();
+        let result = evaluate_unit(&config, class, &mut scratch).unwrap();
+        assert_eq!(result.scanned, 18, "distinct draws cover the class");
+        let got: Vec<u64> = result.survivors.iter().map(|r| r.koopman).collect();
+        // The oracle keeps one member per reciprocal pair; reciprocals
+        // share class and HD, and the census screens both.
+        let mut expect: Vec<u64> = crc_hd::search::exhaustive_search(8, 16, 4)
+            .unwrap()
+            .into_iter()
+            .filter(|s| s.class == "{1,7}")
+            .flat_map(|s| [s.poly.koopman(), s.poly.reciprocal().koopman()])
+            .collect();
+        expect.sort_unstable();
+        expect.dedup();
+        assert!(!got.is_empty());
+        assert_eq!(got, expect);
+        let size = strata(&config).unwrap()[8].size(8);
+        assert_eq!(size, 18);
+        let (est, ..) = extrapolate(size, got.len() as u64, result.scanned, Z95);
+        assert_eq!(est, format!("{}.000000", got.len()));
+        // A scratch that has run another stratum gives the same bytes.
+        evaluate_unit(&config, config.work_unit(3), &mut scratch).unwrap();
+        assert_eq!(evaluate_unit(&config, class, &mut scratch).unwrap(), result);
     }
 
     #[test]

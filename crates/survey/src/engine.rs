@@ -861,7 +861,7 @@ mod tests {
         c.run(3, None).unwrap();
         let got: Vec<u64> = c.survivors().unwrap().iter().map(|s| s.koopman).collect();
         let expect: Vec<u64> =
-            crc_hd::search::exhaustive_search(cfg.width, cfg.screen_len(), cfg.min_hd, 2)
+            crc_hd::search::exhaustive_search(cfg.width, cfg.screen_len(), cfg.min_hd)
                 .unwrap()
                 .iter()
                 .map(|s| s.poly.koopman())
@@ -885,7 +885,7 @@ mod tests {
         assert_eq!(sa, b.survivors().unwrap());
         // Sampled survivors are a subset of the exhaustive set.
         let full: std::collections::HashSet<u64> =
-            crc_hd::search::exhaustive_search(cfg.width, cfg.screen_len(), cfg.min_hd, 2)
+            crc_hd::search::exhaustive_search(cfg.width, cfg.screen_len(), cfg.min_hd)
                 .unwrap()
                 .iter()
                 .map(|s| s.poly.koopman())

@@ -18,7 +18,7 @@ fn search_to_traffic_pipeline() {
     // 1. Find the best achievable HD at 16 data bits over all 8-bit polys.
     let mut chosen = None;
     for hd in (3..=7).rev() {
-        let survivors = exhaustive_search(8, 16, hd, 2).unwrap();
+        let survivors = exhaustive_search(8, 16, hd).unwrap();
         if let Some(s) = survivors.first() {
             chosen = Some((hd, s.poly));
             break;
